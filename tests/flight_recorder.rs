@@ -12,7 +12,8 @@
 //!    the episode's kernel-attributed latency.
 //! 3. **Golden episode.** The JSON-lines dump of one fixed-seed
 //!    recovery episode is pinned as a snapshot
-//!    (`tests/golden/flight_recorder_episode.jsonl`); regenerate an
+//!    (`tests/golden/flight_recorder_episode.jsonl`, and its Chrome
+//!    rendering `flight_recorder_episode.chrome.json`); regenerate an
 //!    intentional change with
 //!    `UPDATE_GOLDEN=1 cargo test -p sg-bench --test flight_recorder`.
 
@@ -20,9 +21,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use composite::{
-    shards_to_jsonl, ComponentId, CostModel, Epoch, InterfaceCall as _, Kernel, KernelAccess as _,
-    Mechanism, MetricsSnapshot, Priority, Service, ServiceCtx, ServiceError, SimTime, ThreadId,
-    TraceEvent, TraceEventKind, TraceShard, Value, MECHANISMS,
+    shards_to_chrome, shards_to_jsonl, ComponentId, CostModel, Epoch, InterfaceCall as _, Kernel,
+    KernelAccess as _, Mechanism, MetricsSnapshot, Priority, Service, ServiceCtx, ServiceError,
+    SimTime, ThreadId, TraceEvent, TraceEventKind, TraceShard, Value, MECHANISMS,
 };
 use sg_bench::{rig, Rig, SERVICES};
 use sg_webserver::{run_fig7_rep, Fig7Config, WebVariant};
@@ -154,16 +155,16 @@ fn fig7_trace_conserves_attribution_and_survives_ambient_flood() {
     assert_eq!(episodes as u64, res.faults_injected);
 }
 
-fn golden_path() -> PathBuf {
+fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/flight_recorder_episode.jsonl")
+        .join("../../tests/golden")
+        .join(file)
 }
 
 /// One fixed recovery episode — the evt service recovered under
 /// SuperGlue, the richest mechanism mix (R0+G0+U0 via the foreign
-/// creator path) — pinned byte-for-byte.
-#[test]
-fn golden_episode_snapshot() {
+/// creator path).
+fn golden_episode_shard() -> TraceShard {
     let mut r: Rig = rig(Variant::SuperGlue);
     r.tb.runtime.kernel_mut().enable_tracing(TEST_CAPACITY);
     let (c, t, svc, f, a) = r.setup_recovery_victim("evt");
@@ -173,12 +174,16 @@ fn golden_episode_snapshot() {
         .expect("recovery succeeds");
     let mut shard = TraceShard::labeled("golden/evt/superglue");
     shard.absorb(r.tb.runtime.kernel_mut().take_trace(&shard.label.clone()));
-    let actual = shards_to_jsonl(std::slice::from_ref(&shard));
+    shard
+}
 
-    let path = golden_path();
+/// Compare `actual` with the golden file `file`, or rewrite the file
+/// when `UPDATE_GOLDEN` is set.
+fn check_golden(file: &str, actual: &str) {
+    let path = golden_path(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir golden");
-        std::fs::write(&path, &actual).expect("write golden");
+        std::fs::write(&path, actual).expect("write golden");
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -189,8 +194,28 @@ fn golden_episode_snapshot() {
     });
     assert_eq!(
         actual, expected,
-        "fixed-seed recovery episode drifted from the golden snapshot; \
+        "fixed-seed recovery episode drifted from the golden snapshot {file}; \
          if intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+/// The golden episode's JSON-lines dump, pinned byte-for-byte.
+#[test]
+fn golden_episode_snapshot() {
+    let shard = golden_episode_shard();
+    check_golden(
+        "flight_recorder_episode.jsonl",
+        &shards_to_jsonl(std::slice::from_ref(&shard)),
+    );
+}
+
+/// The same episode's Chrome `trace_event` dump, pinned byte-for-byte.
+#[test]
+fn golden_episode_chrome_snapshot() {
+    let shard = golden_episode_shard();
+    check_golden(
+        "flight_recorder_episode.chrome.json",
+        &shards_to_chrome(std::slice::from_ref(&shard)),
     );
 }
 
