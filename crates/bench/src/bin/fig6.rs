@@ -404,7 +404,10 @@ fn main() {
             }
         }
         if let Some(path) = trace_path {
-            sg_bench::write_trace(&path, &shards);
+            if let Err(e) = sg_bench::write_trace(&path, &shards) {
+                eprintln!("error: cannot write trace {path}: {e}");
+                std::process::exit(1);
+            }
         }
         if let Some(path) = series_path {
             let refs: Vec<(String, &SeriesSnapshot)> =

@@ -245,7 +245,10 @@ fn main() {
     if let Some(path) = trace_path {
         // One shard per (variant, repetition), in task order.
         let shards: Vec<_> = results.iter().filter_map(|r| r.trace.clone()).collect();
-        sg_bench::write_trace(&path, &shards);
+        if let Err(e) = sg_bench::write_trace(&path, &shards) {
+            eprintln!("error: cannot write trace {path}: {e}");
+            std::process::exit(1);
+        }
     }
 
     if let Some(path) = series_path {

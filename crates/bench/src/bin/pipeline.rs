@@ -302,7 +302,10 @@ fn main() {
     if let Some(path) = trace_path {
         let mut shards: Vec<_> = results.iter().filter_map(|r| r.trace.clone()).collect();
         shards.extend(camp.trace.iter().cloned());
-        sg_bench::write_trace(&path, &shards);
+        if let Err(e) = sg_bench::write_trace(&path, &shards) {
+            eprintln!("error: cannot write trace {path}: {e}");
+            std::process::exit(1);
+        }
     }
 
     if let Some(path) = series_path {

@@ -136,6 +136,14 @@ fn parse_trace(path: &str) -> Result<Vec<Shard>, String> {
                 .push(ev);
         }
     }
+    // A trace without events (empty, or shard headers only) means the
+    // harness recorded nothing; every check over it would pass vacuously.
+    if shards.iter().all(|s| s.events.is_empty()) {
+        return Err(format!(
+            "{path}: no trace events ({} shard header(s)): nothing to check",
+            shards.len()
+        ));
+    }
     Ok(shards)
 }
 

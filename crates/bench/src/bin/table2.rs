@@ -200,7 +200,10 @@ fn main() {
             .iter()
             .flat_map(|r| r.trace.iter().cloned())
             .collect();
-        sg_bench::write_trace(&path, &shards);
+        if let Err(e) = sg_bench::write_trace(&path, &shards) {
+            eprintln!("error: cannot write trace {path}: {e}");
+            std::process::exit(1);
+        }
     }
 
     if let Some(path) = series_path {
@@ -317,7 +320,10 @@ fn run_correlated(
             .iter()
             .flat_map(|(_, _, r)| r.trace.iter().cloned())
             .collect();
-        sg_bench::write_trace(&path, &shards);
+        if let Err(e) = sg_bench::write_trace(&path, &shards) {
+            eprintln!("error: cannot write trace {path}: {e}");
+            std::process::exit(1);
+        }
     }
 
     if let Some(path) = series_path {

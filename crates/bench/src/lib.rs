@@ -441,16 +441,30 @@ pub const SERVICES: [&str; 6] = ["sched", "mm", "fs", "lock", "evt", "tmr"];
 
 /// Write flight-recorder shards to `path` as the JSON-lines format
 /// `sgtrace` consumes, plus a Chrome `trace_event` rendering at
-/// `path.chrome.json` (load in Perfetto / `chrome://tracing`).
+/// `path.chrome.json` (load in Perfetto / `chrome://tracing`). Both are
+/// streamed to disk event by event, never held whole in memory.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when either file cannot be written.
-pub fn write_trace(path: &str, shards: &[composite::TraceShard]) {
-    std::fs::write(path, composite::shards_to_jsonl(shards)).expect("write trace");
+/// The first error creating or writing either file; an error on the
+/// Chrome file names that file.
+pub fn write_trace(path: &str, shards: &[composite::TraceShard]) -> std::io::Result<()> {
+    use std::io::{BufWriter, Write as _};
+    type Out = BufWriter<std::fs::File>;
+    fn stream(
+        path: &str,
+        render: impl FnOnce(&mut Out) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let mut out = BufWriter::new(std::fs::File::create(path)?);
+        render(&mut out)?;
+        out.flush()
+    }
+    stream(path, |w| composite::write_jsonl(shards, w))?;
     let chrome = format!("{path}.chrome.json");
-    std::fs::write(&chrome, composite::shards_to_chrome(shards)).expect("write chrome trace");
+    stream(&chrome, |w| composite::write_chrome(shards, w))
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{chrome}: {e}")))?;
     println!("trace written to {path} (+ {chrome} for Perfetto)");
+    Ok(())
 }
 
 /// The toolchain identifier recorded in `--bench-json` dumps.

@@ -123,9 +123,22 @@ pub fn parse_trace_text(text: &str) -> Result<Vec<Shard>, String> {
 }
 
 /// Parse a `--trace` dump from a file path.
+///
+/// # Errors
+///
+/// When the file cannot be read or parsed, and when it holds no events
+/// (empty, or shard headers only): the harness recorded nothing, and
+/// every report over it would pass vacuously.
 pub fn parse_trace(path: &str) -> Result<Vec<Shard>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_trace_text(&text).map_err(|e| format!("{path}: {e}"))
+    let shards = parse_trace_text(&text).map_err(|e| format!("{path}: {e}"))?;
+    if shards.iter().all(|s| s.events.is_empty()) {
+        return Err(format!(
+            "{path}: no trace events ({} shard header(s)): nothing to check",
+            shards.len()
+        ));
+    }
+    Ok(shards)
 }
 
 fn comp_name(shard: &Shard, comp: u64) -> &str {

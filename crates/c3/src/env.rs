@@ -151,7 +151,7 @@ impl StubEnv<'_> {
             self.server,
             self.thread,
             TraceEventKind::WalkStep {
-                function: fname.to_owned(),
+                function: fname,
                 desc,
                 mech,
             },

@@ -24,7 +24,7 @@
 use std::fmt;
 
 /// Dense id of an interned name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(pub u32);
 
 impl NameId {

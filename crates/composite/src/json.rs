@@ -52,6 +52,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -129,72 +130,232 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Float(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Int(v) => v.write_json(out),
+            Json::UInt(v) => v.write_json(out),
+            Json::Float(v) => v.write_json(out),
             Json::Str(s) => write_escaped(out, s),
-            Json::Array(items) => write_seq(out, indent, depth, '[', ']', items.len(), |o, i| {
-                items[i].write(o, indent, depth + 1);
-            }),
+            Json::Array(items) => {
+                let mut seq = SeqWriter::open(out, indent, depth, '[');
+                for item in items {
+                    item.write(seq.item(), indent, depth + 1);
+                }
+                seq.close();
+            }
             Json::Object(fields) => {
-                write_seq(out, indent, depth, '{', '}', fields.len(), |o, i| {
-                    let (k, v) = &fields[i];
-                    write_escaped(o, k);
-                    o.push(':');
-                    if indent.is_some() {
-                        o.push(' ');
-                    }
-                    v.write(o, indent, depth + 1);
-                });
+                let mut seq = SeqWriter::open(out, indent, depth, '{');
+                for (k, v) in fields {
+                    v.write(seq.key(k), indent, depth + 1);
+                }
+                seq.close();
             }
         }
     }
 }
 
-fn write_seq(
-    out: &mut String,
+/// A scalar the JSON writers can emit in place, with the same bytes the
+/// matching [`Json`] variant writes.
+pub(crate) trait WriteJson {
+    fn write_json(&self, out: &mut String);
+}
+
+/// Append the decimal digits of `v` (what `{v}` writes, without the
+/// formatting machinery: renderers write several integers per event).
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+impl WriteJson for u64 {
+    fn write_json(&self, out: &mut String) {
+        push_u64(out, *self);
+    }
+}
+
+impl WriteJson for u32 {
+    fn write_json(&self, out: &mut String) {
+        push_u64(out, u64::from(*self));
+    }
+}
+
+impl WriteJson for usize {
+    fn write_json(&self, out: &mut String) {
+        push_u64(out, *self as u64);
+    }
+}
+
+impl WriteJson for i64 {
+    fn write_json(&self, out: &mut String) {
+        if *self < 0 {
+            out.push('-');
+        }
+        push_u64(out, self.unsigned_abs());
+    }
+}
+
+impl WriteJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self:?}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl WriteJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
+}
+
+impl WriteJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
+}
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// Streams one JSON array or object into `out` item by item, producing
+/// exactly the bytes [`Json::write`] produces for the equivalent tree
+/// (the tree writer is built on it), so renderers can emit large
+/// documents without materialising a [`Json`] value per element.
+pub(crate) struct SeqWriter<'a> {
+    out: &'a mut String,
     indent: Option<usize>,
     depth: usize,
-    open: char,
     close: char,
     len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(w) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
-        }
-        item(out, i);
-    }
-    if let Some(w) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', w * depth));
-    }
-    out.push(close);
 }
+
+impl<'a> SeqWriter<'a> {
+    /// Open a sequence (`'['` or `'{'`) at nesting `depth`.
+    pub(crate) fn open(
+        out: &'a mut String,
+        indent: Option<usize>,
+        depth: usize,
+        open: char,
+    ) -> Self {
+        out.push(open);
+        let close = if open == '[' { ']' } else { '}' };
+        Self {
+            out,
+            indent,
+            depth,
+            close,
+            len: 0,
+        }
+    }
+
+    /// Start the next item: the separator and, when pretty, its line
+    /// break and indentation. The caller writes the item into the
+    /// returned buffer.
+    pub(crate) fn item(&mut self) -> &mut String {
+        if self.len > 0 {
+            self.out.push(',');
+        }
+        self.len += 1;
+        if let Some(w) = self.indent {
+            newline_indent(self.out, w * (self.depth + 1));
+        }
+        self.out
+    }
+
+    /// Start an object field: the item separator and `"key":`.
+    pub(crate) fn key(&mut self, key: &str) -> &mut String {
+        let pretty = self.indent.is_some();
+        let out = self.item();
+        write_escaped(out, key);
+        out.push(':');
+        if pretty {
+            out.push(' ');
+        }
+        out
+    }
+
+    /// One scalar array item.
+    pub(crate) fn value(&mut self, value: impl WriteJson) {
+        value.write_json(self.item());
+    }
+
+    /// One scalar object field.
+    pub(crate) fn field(&mut self, key: &str, value: impl WriteJson) -> &mut Self {
+        value.write_json(self.key(key));
+        self
+    }
+
+    /// A nested array or object as the value of field `key` (`None`:
+    /// as the next array item).
+    pub(crate) fn nested(&mut self, key: Option<&str>, open: char) -> SeqWriter<'_> {
+        let (indent, depth) = (self.indent, self.depth + 1);
+        let out = match key {
+            Some(k) => self.key(k),
+            None => self.item(),
+        };
+        SeqWriter::open(out, indent, depth, open)
+    }
+
+    /// The underlying buffer, for a caller that drains what has been
+    /// written so far (the writer keeps no offsets into it).
+    pub(crate) fn buf(&mut self) -> &mut String {
+        self.out
+    }
+
+    /// Close the sequence (on its own line when pretty and non-empty).
+    pub(crate) fn close(self) {
+        if self.len > 0 {
+            if let Some(w) = self.indent {
+                newline_indent(self.out, w * self.depth);
+            }
+        }
+        self.out.push(self.close);
+    }
+}
+
+fn newline_indent(out: &mut String, spaces: usize) {
+    const BLANK: &str = "                                ";
+    out.push('\n');
+    let mut left = spaces;
+    while left > 0 {
+        let n = left.min(BLANK.len());
+        out.push_str(&BLANK[..n]);
+        left -= n;
+    }
+}
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive; the cap turns hostile input (a line of 100 000 `[`) into a
+/// parse error instead of a stack overflow. The writers never nest
+/// deeper than a handful of levels.
+pub const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -236,57 +397,75 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_PARSE_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_PARSE_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
                 }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Array(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let k = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    let v = self.value()?;
-                    fields.push((k, v));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Object(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
             }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Array(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let k = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            let v = self.value()?;
+            fields.push((k, v));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Object(fields));
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
         }
     }
 
@@ -373,22 +552,36 @@ impl Parser<'_> {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, escaped per RFC 8259.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append the escaped body of a JSON string (no quotes). Bytes that need
+/// no escape are copied in runs; only ASCII bytes are ever escaped, so
+/// runs always end on UTF-8 boundaries.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
-    out.push('"');
+    out.push_str(&s[run..]);
 }
 
 impl From<bool> for Json {
@@ -507,6 +700,25 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_PARSE_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_PARSE_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Far past the cap, unbalanced, and mixed objects/arrays: an
+        // error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&r#"{"a":["#.repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn escaping_handles_runs_controls_and_non_ascii() {
+        let j = Json::Str("q\"b\\ é\u{7f}\u{1f}\r\tend✓".into());
+        assert_eq!(j.to_line(), "\"q\\\"b\\\\ é\u{7f}\\u001f\\r\\tend✓\"");
+        assert_eq!(Json::parse(&j.to_line()).unwrap(), j);
     }
 
     #[test]

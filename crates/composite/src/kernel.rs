@@ -735,7 +735,7 @@ impl Kernel {
 
     /// Emit one instant (zero-duration) trace event; no-op while
     /// disabled. Stubs use this for descriptor create/teardown markers.
-    pub fn trace_instant(&mut self, c: ComponentId, thread: ThreadId, kind: TraceEventKind) {
+    pub fn trace_instant(&mut self, c: ComponentId, thread: ThreadId, kind: TraceEventKind<&str>) {
         if !self.trace.is_enabled() {
             return;
         }
@@ -785,7 +785,7 @@ impl Kernel {
         scope: Option<TraceScope>,
         c: ComponentId,
         thread: ThreadId,
-        kind: TraceEventKind,
+        kind: TraceEventKind<&str>,
     ) {
         let Some(s) = scope else { return };
         self.trace.pop_scope();
@@ -918,7 +918,7 @@ impl Kernel {
                             component: target,
                             epoch,
                             kind: TraceEventKind::InvokeEnter {
-                                function: fname.to_owned(),
+                                function: fname,
                                 client,
                             },
                         });
@@ -948,7 +948,7 @@ impl Kernel {
                 component: target,
                 epoch,
                 kind: TraceEventKind::InvokeEnter {
-                    function: fname.to_owned(),
+                    function: fname,
                     client,
                 },
             });
@@ -1032,7 +1032,7 @@ impl Kernel {
         c: ComponentId,
         thread: ThreadId,
         parent: Option<u64>,
-        kind: TraceEventKind,
+        kind: TraceEventKind<&str>,
     ) {
         let span = self.trace.alloc_span();
         let epoch = self.epoch_of(c).unwrap_or_default();
@@ -1075,9 +1075,7 @@ impl Kernel {
                 thread,
                 component: target,
                 epoch,
-                kind: TraceEventKind::Upcall {
-                    function: fname.to_owned(),
-                },
+                kind: TraceEventKind::Upcall { function: fname },
             });
             self.trace.push_scope(span);
             true

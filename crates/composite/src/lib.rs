@@ -78,7 +78,8 @@ pub use telemetry::{
 pub use thread::{RegisterFile, ThreadState, NUM_REGISTERS};
 pub use time::{CostModel, SimTime};
 pub use trace::{
-    shards_to_chrome, shards_to_jsonl, FlightRecorder, TraceEvent, TraceEventKind, TraceScope,
-    TraceShard, DEFAULT_TRACE_CAPACITY, MAX_EPISODE_DEPTH, TRACE_SCHEMA_VERSION,
+    shards_to_chrome, shards_to_jsonl, write_chrome, write_jsonl, FlightRecorder, TraceEvent,
+    TraceEventKind, TraceScope, TraceShard, DEFAULT_TRACE_CAPACITY, MAX_EPISODE_DEPTH,
+    TRACE_SCHEMA_VERSION,
 };
 pub use value::{ArgVec, Bytes, SmallStr, Value};

@@ -48,11 +48,27 @@
 //! timeline` analyzer independently re-sums them and checks
 //! conservation: the per-mechanism spans of an episode must account for
 //! 100% of its attributed latency.
+//!
+//! ## Compact ring, lazy rendering
+//!
+//! Millions of events can pass through the rings while only the newest
+//! `capacity` per tier survive, so recording must be cheap and rendering
+//! is paid only for survivors. The rings hold fixed-size `Copy` records,
+//! [`TraceEvent<NameId>`](TraceEvent): emission sites pass function
+//! names as `&str`, and the recorder interns them into a name table it
+//! owns. [`FlightRecorder::drain`] materialises the public owned
+//! [`TraceEvent`] for retained events only. The renderers
+//! ([`write_jsonl`], [`write_chrome`]) stream each event straight into
+//! one output buffer with the escape and layout helpers of
+//! [`Json`](crate::json::Json)'s writer, never building a value tree.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
+use std::io;
 
 use crate::ids::{ComponentId, Epoch, ThreadId};
-use crate::json::Json;
+use crate::intern::{Interner, NameId};
+use crate::json::{SeqWriter, WriteJson};
 use crate::metrics::Mechanism;
 use crate::time::SimTime;
 
@@ -69,14 +85,14 @@ pub const TRACE_SCHEMA_VERSION: u64 = 1;
 /// correlated-fault storms bounded and the analyzers' recursion finite).
 pub const MAX_EPISODE_DEPTH: u32 = 8;
 
-/// What one trace event records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEventKind {
+/// What one trace event records. `F` is the type of the function names
+/// carried by invocations, σ-walk steps and upcalls: owned `String`s in
+/// drained shards (the default), borrowed `&str` at emission sites, and
+/// interned [`NameId`]s inside the recorder's rings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceEventKind<F = String> {
     /// A component invocation began (`function`, on behalf of `client`).
-    InvokeEnter {
-        function: String,
-        client: ComponentId,
-    },
+    InvokeEnter { function: F, client: ComponentId },
     /// The invocation identified by `parent` returned; `outcome` is one
     /// of `"ok"`, `"fault"`, `"would-block"`, `"err"`.
     InvokeExit { outcome: &'static str },
@@ -114,7 +130,7 @@ pub enum TraceEventKind {
     /// deferred-completion substitution). `dur` spans the recovery-step
     /// charge plus the replayed invocation.
     WalkStep {
-        function: String,
+        function: F,
         desc: Option<i64>,
         mech: Mechanism,
     },
@@ -124,7 +140,7 @@ pub enum TraceEventKind {
     /// descriptors in total (itself plus any revoked subtree).
     DescriptorClosed { desc: i64, dropped: u64 },
     /// A kernel/booter-initiated upcall dispatched `function`.
-    Upcall { function: String },
+    Upcall { function: F },
     /// A showstopper message was routed to the dead-letter queue:
     /// message `msg` on channel descriptor `desc` faulted its consumer
     /// `deliveries` times and is escalated past further re-delivery (the
@@ -140,7 +156,7 @@ pub enum TraceEventKind {
     EpisodeEnd { attributed: SimTime },
 }
 
-impl TraceEventKind {
+impl<F> TraceEventKind<F> {
     /// Stable snake_case name used in JSON output.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -186,11 +202,57 @@ impl TraceEventKind {
                 | TraceEventKind::EpisodeEnd { .. }
         )
     }
+
+    /// The same kind with its function name (if it carries one) mapped
+    /// through `f`.
+    fn map_function<G>(self, f: impl FnOnce(F) -> G) -> TraceEventKind<G> {
+        use TraceEventKind as K;
+        match self {
+            K::InvokeEnter { function, client } => K::InvokeEnter {
+                function: f(function),
+                client,
+            },
+            K::WalkStep {
+                function,
+                desc,
+                mech,
+            } => K::WalkStep {
+                function: f(function),
+                desc,
+                mech,
+            },
+            K::Upcall { function } => K::Upcall {
+                function: f(function),
+            },
+            K::InvokeExit { outcome } => K::InvokeExit { outcome },
+            K::Block => K::Block,
+            K::Sleep { until } => K::Sleep { until },
+            K::Wake => K::Wake,
+            K::FaultInjected { depth } => K::FaultInjected { depth },
+            K::WatchdogFired => K::WatchdogFired,
+            K::DegradedMarked { until } => K::DegradedMarked { until },
+            K::ColdRestart => K::ColdRestart,
+            K::Reboot => K::Reboot,
+            K::MechanismFired { mech, n } => K::MechanismFired { mech, n },
+            K::DescriptorCreated { desc } => K::DescriptorCreated { desc },
+            K::DescriptorClosed { desc, dropped } => K::DescriptorClosed { desc, dropped },
+            K::DeadLetter {
+                desc,
+                msg,
+                deliveries,
+            } => K::DeadLetter {
+                desc,
+                msg,
+                deliveries,
+            },
+            K::EpisodeEnd { attributed } => K::EpisodeEnd { attributed },
+        }
+    }
 }
 
-/// One flight-recorder event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
+/// One flight-recorder event (`F` as for [`TraceEventKind`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceEvent<F = String> {
     /// Monotonically assigned span id, unique within a [`TraceShard`].
     pub span: u64,
     /// Causal parent span (`None` for roots: fault injections and
@@ -207,96 +269,23 @@ pub struct TraceEvent {
     pub component: ComponentId,
     /// That component's micro-reboot epoch when the event fired.
     pub epoch: Epoch,
-    pub kind: TraceEventKind,
+    pub kind: TraceEventKind<F>,
 }
 
-impl TraceEvent {
-    /// One JSON-lines object; `names` resolves component ids (indexed by
-    /// id) for human-readable dumps.
-    #[must_use]
-    pub fn to_json(&self, names: &[String]) -> Json {
-        let mut j = Json::object();
-        j.push("span", self.span);
-        match self.parent {
-            Some(p) => j.push("parent", p),
-            None => j.push("parent", Json::Null),
-        };
-        j.push("ts", self.time.0)
-            .push("dur", self.dur.0)
-            .push("tid", self.thread.0)
-            .push("comp", self.component.0)
-            .push(
-                "name",
-                names
-                    .get(self.component.0 as usize)
-                    .map_or("?", String::as_str),
-            )
-            .push("epoch", self.epoch.0)
-            .push("kind", self.kind.name());
-        match &self.kind {
-            TraceEventKind::InvokeEnter { function, client } => {
-                j.push("function", function.as_str())
-                    .push("client", client.0);
-            }
-            TraceEventKind::InvokeExit { outcome } => {
-                j.push("outcome", *outcome);
-            }
-            TraceEventKind::Sleep { until } => {
-                j.push("until", until.0);
-            }
-            TraceEventKind::MechanismFired { mech, n } => {
-                j.push("mech", mech.name()).push("n", *n);
-            }
-            TraceEventKind::WalkStep {
-                function,
-                desc,
-                mech,
-            } => {
-                j.push("function", function.as_str());
-                match desc {
-                    Some(d) => j.push("desc", *d),
-                    None => j.push("desc", Json::Null),
-                };
-                j.push("mech", mech.name());
-            }
-            TraceEventKind::DescriptorCreated { desc } => {
-                j.push("desc", *desc);
-            }
-            TraceEventKind::DescriptorClosed { desc, dropped } => {
-                j.push("desc", *desc).push("dropped", *dropped);
-            }
-            TraceEventKind::Upcall { function } => {
-                j.push("function", function.as_str());
-            }
-            TraceEventKind::DeadLetter {
-                desc,
-                msg,
-                deliveries,
-            } => {
-                j.push("desc", *desc)
-                    .push("msg", *msg)
-                    .push("deliveries", *deliveries);
-            }
-            TraceEventKind::EpisodeEnd { attributed } => {
-                j.push("attributed", attributed.0);
-            }
-            TraceEventKind::FaultInjected { depth } => {
-                // Emitted only for nested faults so that the established
-                // single-fault dumps stay byte-identical.
-                if *depth > 0 {
-                    j.push("depth", *depth);
-                }
-            }
-            TraceEventKind::DegradedMarked { until } => {
-                j.push("until", until.0);
-            }
-            TraceEventKind::Block
-            | TraceEventKind::Wake
-            | TraceEventKind::WatchdogFired
-            | TraceEventKind::ColdRestart
-            | TraceEventKind::Reboot => {}
+impl<F> TraceEvent<F> {
+    /// The same event with its function name (if any) mapped through
+    /// `f`.
+    fn map_function<G>(self, f: impl FnOnce(F) -> G) -> TraceEvent<G> {
+        TraceEvent {
+            span: self.span,
+            parent: self.parent,
+            time: self.time,
+            dur: self.dur,
+            thread: self.thread,
+            component: self.component,
+            epoch: self.epoch,
+            kind: self.kind.map_function(f),
         }
-        j
     }
 }
 
@@ -320,6 +309,15 @@ struct Episode {
 /// tree conserves latency without double counting.
 type EpisodeStack = Vec<Episode>;
 
+/// Slots of the recorder's address-keyed name cache; a prime, so aligned
+/// addresses spread over all of them.
+const RECENT_SLOTS: usize = 31;
+
+/// One ring entry: the push sequence number (so `drain` can interleave
+/// the tiers back into emission order) and the event in its compact,
+/// fixed-size form.
+type Record = (u64, TraceEvent<NameId>);
+
 /// The bounded event ring the kernel carries. All methods are cheap
 /// no-ops while disabled.
 #[derive(Debug, Default)]
@@ -327,11 +325,14 @@ pub struct FlightRecorder {
     enabled: bool,
     capacity: usize,
     /// Ambient tier: invocations, block/wake/sleep, descriptor events.
-    /// Entries carry a push sequence number so `drain` can interleave
-    /// the tiers back into emission order.
-    ambient: VecDeque<(u64, TraceEvent)>,
+    ambient: VecDeque<Record>,
     /// Recovery tier: never evicted by ambient traffic.
-    recovery: VecDeque<(u64, TraceEvent)>,
+    recovery: VecDeque<Record>,
+    /// The function names ring records refer to. Kept across drains: the
+    /// set is small and fixed by the interfaces loaded.
+    functions: Interner,
+    /// Recently interned names by address (see [`Self::function_id`]).
+    recent: [(usize, NameId); RECENT_SLOTS],
     next_seq: u64,
     dropped: u64,
     dropped_recovery: u64,
@@ -411,10 +412,10 @@ impl FlightRecorder {
         self.episodes.get(&c).map_or(0, |s| s.len() as u32)
     }
 
-    /// Append an event, attributing its duration to the open episode of
-    /// its component and dropping the oldest event of its tier on
-    /// overflow.
-    pub(crate) fn record(&mut self, ev: TraceEvent) {
+    /// Append an event, interning its function name, attributing its
+    /// duration to the open episode of its component and dropping the
+    /// oldest event of its tier on overflow.
+    pub(crate) fn record(&mut self, ev: TraceEvent<&str>) {
         if ev.dur > SimTime::ZERO {
             // Attribute to the innermost open episode only — the episode
             // tree conserves latency without double counting.
@@ -434,6 +435,7 @@ impl FlightRecorder {
         let recovery_class = ev.kind.is_recovery_class()
             || (matches!(ev.kind, TraceEventKind::MechanismFired { .. })
                 && self.episodes.contains_key(&ev.component));
+        let ev = ev.map_function(|f| self.function_id(f));
         let tier = if recovery_class {
             &mut self.recovery
         } else {
@@ -448,6 +450,23 @@ impl FlightRecorder {
             }
         }
         tier.push_back((seq, ev));
+    }
+
+    /// The id of function name `f` in the recorder's table. Emission
+    /// sites pass the same few long-lived strings (interface-function
+    /// names owned by compiled stubs and services) millions of times, so
+    /// a small cache keyed by address answers nearly every lookup and
+    /// the interner's scan runs only on a miss. A hit is confirmed by
+    /// content, so a reused address can only miss.
+    fn function_id(&mut self, f: &str) -> NameId {
+        let addr = f.as_ptr() as usize;
+        let slot = &mut self.recent[addr % RECENT_SLOTS];
+        if slot.0 == addr && self.functions.resolve(slot.1) == f {
+            return slot.1;
+        }
+        let id = self.functions.intern(f);
+        *slot = (addr, id);
+        id
     }
 
     /// Open a recovery episode for `c` rooted at `root`, pushed on top of
@@ -502,7 +521,8 @@ impl FlightRecorder {
 
     /// Drain all recorded events and counters, resetting the recorder
     /// for continued use. The two tiers are interleaved back into
-    /// emission order. Returns
+    /// emission order, and only these retained events are materialised
+    /// with owned function names. Returns
     /// `(events, dropped_ambient, dropped_recovery, span_count)`.
     pub(crate) fn drain(&mut self) -> (Vec<TraceEvent>, u64, u64, u64) {
         let mut ambient = std::mem::take(&mut self.ambient);
@@ -520,7 +540,8 @@ impl FlightRecorder {
             } else {
                 &mut recovery
             };
-            events.push(src.pop_front().expect("front checked").1);
+            let (_, ev) = src.pop_front().expect("front checked");
+            events.push(ev.map_function(|id| self.functions.resolve(id).to_owned()));
         }
         let dropped = std::mem::take(&mut self.dropped);
         let dropped_recovery = std::mem::take(&mut self.dropped_recovery);
@@ -587,72 +608,21 @@ impl TraceShard {
             self.names = other.names;
         }
     }
-
-    /// The shard-header JSON-lines object. Leads with the emitter's
-    /// schema version so downstream tooling (`sgtrace`, `sgstat`) can
-    /// detect drift.
-    #[must_use]
-    pub fn header_json(&self) -> Json {
-        let mut j = Json::object();
-        j.push("v", TRACE_SCHEMA_VERSION)
-            .push("shard", self.label.as_str())
-            .push(
-                "names",
-                Json::Array(self.names.iter().map(|n| Json::from(n.as_str())).collect()),
-            )
-            .push("events", self.events.len())
-            .push("dropped", self.dropped)
-            .push("dropped_recovery", self.dropped_recovery)
-            .push("span_count", self.span_count);
-        j
-    }
 }
+
+/// Bytes the streaming writers buffer before handing them to their
+/// `io::Write` sink.
+const CHUNK: usize = 1 << 16;
+
+/// Called by a renderer after each line or event with the output buffer,
+/// which it may drain to the final destination.
+type Spill<'a> = &'a mut dyn FnMut(&mut String) -> io::Result<()>;
 
 /// Render shards as JSON-lines: one header object per shard followed by
 /// its events, in shard order (byte-identical for any `--jobs`).
 #[must_use]
 pub fn shards_to_jsonl(shards: &[TraceShard]) -> String {
-    let mut out = String::new();
-    for shard in shards {
-        out.push_str(&shard.header_json().to_line());
-        out.push('\n');
-        for ev in &shard.events {
-            out.push_str(&ev.to_json(&shard.names).to_line());
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Human label for one event in the Chrome viewer.
-fn chrome_name(ev: &TraceEvent, names: &[String]) -> String {
-    let comp = names
-        .get(ev.component.0 as usize)
-        .map_or("?", String::as_str);
-    match &ev.kind {
-        TraceEventKind::InvokeEnter { function, .. } => format!("call {comp}.{function}"),
-        TraceEventKind::InvokeExit { outcome } => format!("ret {outcome}"),
-        TraceEventKind::Block => format!("block in {comp}"),
-        TraceEventKind::Sleep { .. } => "sleep".to_owned(),
-        TraceEventKind::Wake => format!("wake ({comp})"),
-        TraceEventKind::FaultInjected { depth: 0 } => format!("FAULT {comp}"),
-        TraceEventKind::FaultInjected { depth } => format!("FAULT {comp} (nested x{depth})"),
-        TraceEventKind::WatchdogFired => format!("WATCHDOG {comp}"),
-        TraceEventKind::DegradedMarked { .. } => format!("degraded {comp}"),
-        TraceEventKind::ColdRestart => format!("cold restart {comp}"),
-        TraceEventKind::Reboot => format!("reboot {comp}"),
-        TraceEventKind::MechanismFired { mech, n } => format!("{} x{n} ({comp})", mech.name()),
-        TraceEventKind::WalkStep { function, mech, .. } => {
-            format!("{} replay {comp}.{function}", mech.name())
-        }
-        TraceEventKind::DescriptorCreated { desc } => format!("{comp} desc+{desc}"),
-        TraceEventKind::DescriptorClosed { desc, .. } => format!("{comp} desc-{desc}"),
-        TraceEventKind::Upcall { function } => format!("upcall {comp}.{function}"),
-        TraceEventKind::DeadLetter {
-            msg, deliveries, ..
-        } => format!("DEAD-LETTER {comp} msg {msg} (x{deliveries})"),
-        TraceEventKind::EpisodeEnd { .. } => format!("episode end {comp}"),
-    }
+    in_memory(|out, spill| render_jsonl(shards, out, spill))
 }
 
 /// Render shards in Chrome `trace_event` JSON (loadable in
@@ -662,49 +632,278 @@ fn chrome_name(ev: &TraceEvent, names: &[String]) -> String {
 /// simulation is nanosecond-granular).
 #[must_use]
 pub fn shards_to_chrome(shards: &[TraceShard]) -> String {
-    let mut events: Vec<Json> = Vec::new();
-    for (pid, shard) in shards.iter().enumerate() {
-        let mut meta = Json::object();
-        meta.push("ph", "M")
-            .push("pid", pid)
-            .push("name", "process_name");
-        let mut args = Json::object();
-        args.push("name", shard.label.as_str());
-        meta.push("args", args);
-        events.push(meta);
+    in_memory(|out, spill| render_chrome(shards, out, spill))
+}
+
+/// Stream the [`shards_to_jsonl`] rendering to `w` in chunks, without
+/// holding the whole dump in memory.
+///
+/// # Errors
+///
+/// The first error `w` returns.
+pub fn write_jsonl(shards: &[TraceShard], w: &mut impl io::Write) -> io::Result<()> {
+    streamed(w, |out, spill| render_jsonl(shards, out, spill))
+}
+
+/// Stream the [`shards_to_chrome`] rendering to `w` in chunks, without
+/// holding the whole dump in memory.
+///
+/// # Errors
+///
+/// The first error `w` returns.
+pub fn write_chrome(shards: &[TraceShard], w: &mut impl io::Write) -> io::Result<()> {
+    streamed(w, |out, spill| render_chrome(shards, out, spill))
+}
+
+fn in_memory(render: impl FnOnce(&mut String, Spill<'_>) -> io::Result<()>) -> String {
+    let mut out = String::new();
+    // Nothing spills: the whole rendering accumulates in `out`.
+    render(&mut out, &mut |_| Ok(())).expect("rendering into a String cannot fail");
+    out
+}
+
+fn streamed(
+    w: &mut impl io::Write,
+    render: impl FnOnce(&mut String, Spill<'_>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut buf = String::with_capacity(2 * CHUNK);
+    render(&mut buf, &mut |buf| {
+        if buf.len() >= CHUNK {
+            w.write_all(buf.as_bytes())?;
+            buf.clear();
+        }
+        Ok(())
+    })?;
+    w.write_all(buf.as_bytes())
+}
+
+fn component_name(names: &[String], c: ComponentId) -> &str {
+    names.get(c.0 as usize).map_or("?", String::as_str)
+}
+
+fn render_jsonl(shards: &[TraceShard], out: &mut String, spill: Spill<'_>) -> io::Result<()> {
+    for shard in shards {
+        // The header leads with the emitter's schema version so
+        // downstream tooling (`sgtrace`, `sgstat`) can detect drift.
+        let mut j = SeqWriter::open(out, None, 0, '{');
+        j.field("v", TRACE_SCHEMA_VERSION)
+            .field("shard", &shard.label);
+        let mut names = j.nested(Some("names"), '[');
+        for n in &shard.names {
+            names.value(n);
+        }
+        names.close();
+        j.field("events", shard.events.len())
+            .field("dropped", shard.dropped)
+            .field("dropped_recovery", shard.dropped_recovery)
+            .field("span_count", shard.span_count);
+        j.close();
+        out.push('\n');
+        spill(out)?;
         for ev in &shard.events {
-            let mut j = Json::object();
-            j.push("name", chrome_name(ev, &shard.names))
-                .push("cat", ev.kind.name())
-                .push("pid", pid)
-                .push("tid", ev.thread.0)
-                .push("ts", ev.time.0 as f64 / 1000.0);
-            if ev.dur > SimTime::ZERO {
-                j.push("ph", "X").push("dur", ev.dur.0 as f64 / 1000.0);
-            } else {
-                j.push("ph", "i").push("s", "t");
-            }
-            let mut args = Json::object();
-            args.push("span", ev.span);
-            if let Some(p) = ev.parent {
-                args.push("parent", p);
-            }
-            args.push("epoch", ev.epoch.0);
-            j.push("args", args);
-            events.push(j);
+            jsonl_event(out, ev, &shard.names);
+            out.push('\n');
+            spill(out)?;
         }
     }
-    let mut top = Json::object();
-    top.push("traceEvents", Json::Array(events))
-        .push("displayTimeUnit", "ns");
-    top.to_pretty()
+    Ok(())
+}
+
+/// One event as a JSON-lines object; `names` resolves component ids.
+fn jsonl_event(out: &mut String, ev: &TraceEvent, names: &[String]) {
+    let mut j = SeqWriter::open(out, None, 0, '{');
+    j.field("span", ev.span)
+        .field("parent", ev.parent)
+        .field("ts", ev.time.0)
+        .field("dur", ev.dur.0)
+        .field("tid", ev.thread.0)
+        .field("comp", ev.component.0)
+        .field("name", component_name(names, ev.component))
+        .field("epoch", ev.epoch.0)
+        .field("kind", ev.kind.name());
+    match &ev.kind {
+        TraceEventKind::InvokeEnter { function, client } => {
+            j.field("function", function).field("client", client.0);
+        }
+        TraceEventKind::InvokeExit { outcome } => {
+            j.field("outcome", *outcome);
+        }
+        TraceEventKind::Sleep { until } | TraceEventKind::DegradedMarked { until } => {
+            j.field("until", until.0);
+        }
+        TraceEventKind::MechanismFired { mech, n } => {
+            j.field("mech", mech.name()).field("n", *n);
+        }
+        TraceEventKind::WalkStep {
+            function,
+            desc,
+            mech,
+        } => {
+            j.field("function", function)
+                .field("desc", *desc)
+                .field("mech", mech.name());
+        }
+        TraceEventKind::DescriptorCreated { desc } => {
+            j.field("desc", *desc);
+        }
+        TraceEventKind::DescriptorClosed { desc, dropped } => {
+            j.field("desc", *desc).field("dropped", *dropped);
+        }
+        TraceEventKind::Upcall { function } => {
+            j.field("function", function);
+        }
+        TraceEventKind::DeadLetter {
+            desc,
+            msg,
+            deliveries,
+        } => {
+            j.field("desc", *desc)
+                .field("msg", *msg)
+                .field("deliveries", *deliveries);
+        }
+        TraceEventKind::EpisodeEnd { attributed } => {
+            j.field("attributed", attributed.0);
+        }
+        // Emitted only for nested faults so that the established
+        // single-fault dumps stay byte-identical.
+        TraceEventKind::FaultInjected { depth } if *depth > 0 => {
+            j.field("depth", *depth);
+        }
+        TraceEventKind::FaultInjected { .. }
+        | TraceEventKind::Block
+        | TraceEventKind::Wake
+        | TraceEventKind::WatchdogFired
+        | TraceEventKind::ColdRestart
+        | TraceEventKind::Reboot => {}
+    }
+    j.close();
+}
+
+/// Write the human label for one event in the Chrome viewer into `out`
+/// (cleared first).
+fn chrome_name(out: &mut String, ev: &TraceEvent, names: &[String]) {
+    out.clear();
+    let comp = component_name(names, ev.component);
+    let _ = match &ev.kind {
+        TraceEventKind::InvokeEnter { function, .. } => {
+            out.extend(["call ", comp, ".", function]);
+            Ok(())
+        }
+        TraceEventKind::InvokeExit { outcome } => {
+            out.extend(["ret ", outcome]);
+            Ok(())
+        }
+        TraceEventKind::Block => write!(out, "block in {comp}"),
+        TraceEventKind::Sleep { .. } => write!(out, "sleep"),
+        TraceEventKind::Wake => write!(out, "wake ({comp})"),
+        TraceEventKind::FaultInjected { depth: 0 } => write!(out, "FAULT {comp}"),
+        TraceEventKind::FaultInjected { depth } => write!(out, "FAULT {comp} (nested x{depth})"),
+        TraceEventKind::WatchdogFired => write!(out, "WATCHDOG {comp}"),
+        TraceEventKind::DegradedMarked { .. } => write!(out, "degraded {comp}"),
+        TraceEventKind::ColdRestart => write!(out, "cold restart {comp}"),
+        TraceEventKind::Reboot => write!(out, "reboot {comp}"),
+        TraceEventKind::MechanismFired { mech, n } => write!(out, "{} x{n} ({comp})", mech.name()),
+        TraceEventKind::WalkStep { function, mech, .. } => {
+            write!(out, "{} replay {comp}.{function}", mech.name())
+        }
+        TraceEventKind::DescriptorCreated { desc } => write!(out, "{comp} desc+{desc}"),
+        TraceEventKind::DescriptorClosed { desc, .. } => write!(out, "{comp} desc-{desc}"),
+        TraceEventKind::Upcall { function } => write!(out, "upcall {comp}.{function}"),
+        TraceEventKind::DeadLetter {
+            msg, deliveries, ..
+        } => write!(out, "DEAD-LETTER {comp} msg {msg} (x{deliveries})"),
+        TraceEventKind::EpisodeEnd { .. } => write!(out, "episode end {comp}"),
+    };
+}
+
+/// A simulated duration in nanoseconds, written as the fractional
+/// microseconds `(ns as f64 / 1000.0)` the Chrome format uses, with the
+/// same bytes as that `f64`'s shortest round-trip (`{:?}`) rendering.
+struct Micros(SimTime);
+
+impl WriteJson for Micros {
+    fn write_json(&self, out: &mut String) {
+        let ns = self.0 .0;
+        // Below 10^15 ns the quotient has at most 15 significant digits,
+        // so no other decimal that short maps to the same f64: the
+        // shortest round-trip form is the exact quotient itself, which
+        // also stays clear of `{:?}`'s exponent forms (below 1e-4 and
+        // from 1e16 on).
+        if ns >= 1_000_000_000_000_000 {
+            return (ns as f64 / 1000.0).write_json(out);
+        }
+        (ns / 1000).write_json(out);
+        out.push('.');
+        let frac = ns % 1000;
+        if frac == 0 {
+            out.push('0');
+        } else {
+            let digits = [frac / 100, frac / 10 % 10, frac % 10];
+            let len = 3 - digits.iter().rev().take_while(|&&d| d == 0).count();
+            out.extend(digits[..len].iter().map(|&d| char::from(b'0' + d as u8)));
+        }
+    }
+}
+
+fn render_chrome(shards: &[TraceShard], out: &mut String, spill: Spill<'_>) -> io::Result<()> {
+    let mut top = SeqWriter::open(out, Some(2), 0, '{');
+    let mut events = top.nested(Some("traceEvents"), '[');
+    let mut name = String::new();
+    for (pid, shard) in shards.iter().enumerate() {
+        let mut meta = events.nested(None, '{');
+        meta.field("ph", "M")
+            .field("pid", pid)
+            .field("name", "process_name");
+        let mut args = meta.nested(Some("args"), '{');
+        args.field("name", &shard.label);
+        args.close();
+        meta.close();
+        spill(events.buf())?;
+        for ev in &shard.events {
+            chrome_name(&mut name, ev, &shard.names);
+            let mut j = events.nested(None, '{');
+            j.field("name", &name)
+                .field("cat", ev.kind.name())
+                .field("pid", pid)
+                .field("tid", ev.thread.0)
+                .field("ts", Micros(ev.time));
+            if ev.dur > SimTime::ZERO {
+                j.field("ph", "X").field("dur", Micros(ev.dur));
+            } else {
+                j.field("ph", "i").field("s", "t");
+            }
+            let mut args = j.nested(Some("args"), '{');
+            args.field("span", ev.span);
+            if let Some(p) = ev.parent {
+                args.field("parent", p);
+            }
+            args.field("epoch", ev.epoch.0);
+            args.close();
+            j.close();
+            spill(events.buf())?;
+        }
+    }
+    events.close();
+    top.field("displayTimeUnit", "ns");
+    top.close();
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::BTreeSet;
 
-    fn ev(span: u64, parent: Option<u64>, c: u32, dur: u64, kind: TraceEventKind) -> TraceEvent {
+    use super::*;
+    use crate::metrics::MECHANISMS;
+    use crate::rng::SplitMix64;
+
+    fn ev<F>(
+        span: u64,
+        parent: Option<u64>,
+        c: u32,
+        dur: u64,
+        kind: TraceEventKind<F>,
+    ) -> TraceEvent<F> {
         TraceEvent {
             span,
             parent,
@@ -949,5 +1148,423 @@ mod tests {
         assert!(dump.contains(r#""ph": "i""#));
         assert!(dump.contains(r#""ph": "X""#));
         assert!(dump.contains(r#""dur": 0.25"#));
+    }
+
+    /// A random string over an alphabet that exercises every escaping
+    /// path: quotes, backslashes, control characters, non-ASCII.
+    fn random_text(rng: &mut SplitMix64) -> String {
+        const ALPHABET: [&str; 15] = [
+            "a", "z", "_", ".", " ", "\"", "\\", "\n", "\t", "\r", "\u{1}", "\u{1f}", "é", "✓",
+            "😀",
+        ];
+        (0..rng.gen_range(8))
+            .map(|_| ALPHABET[rng.gen_index(ALPHABET.len())])
+            .collect()
+    }
+
+    /// Number of [`TraceEventKind`] variants.
+    const KINDS: u64 = 17;
+
+    fn random_kind(rng: &mut SplitMix64, pick: u64) -> TraceEventKind {
+        let mech = MECHANISMS[rng.gen_index(MECHANISMS.len())];
+        let time = SimTime(rng.next_u64() >> rng.gen_range(64));
+        let desc = rng.next_u64() as i64 >> rng.gen_range(64);
+        match pick {
+            0 => TraceEventKind::InvokeEnter {
+                function: random_text(rng),
+                client: ComponentId(rng.next_u32() % 6),
+            },
+            1 => TraceEventKind::InvokeExit {
+                outcome: ["ok", "fault", "would-block", "err"][rng.gen_index(4)],
+            },
+            2 => TraceEventKind::Block,
+            3 => TraceEventKind::Sleep { until: time },
+            4 => TraceEventKind::Wake,
+            5 => TraceEventKind::FaultInjected {
+                depth: rng.gen_range(3) as u32,
+            },
+            6 => TraceEventKind::WatchdogFired,
+            7 => TraceEventKind::DegradedMarked { until: time },
+            8 => TraceEventKind::ColdRestart,
+            9 => TraceEventKind::Reboot,
+            10 => TraceEventKind::MechanismFired {
+                mech,
+                n: rng.gen_range(5),
+            },
+            11 => TraceEventKind::WalkStep {
+                function: random_text(rng),
+                desc: rng.gen_bool(1, 2).then_some(desc),
+                mech,
+            },
+            12 => TraceEventKind::DescriptorCreated { desc },
+            13 => TraceEventKind::DescriptorClosed {
+                desc,
+                dropped: rng.gen_range(4),
+            },
+            14 => TraceEventKind::Upcall {
+                function: random_text(rng),
+            },
+            15 => TraceEventKind::DeadLetter {
+                desc,
+                msg: rng.next_u64() as i64,
+                deliveries: rng.gen_range(5),
+            },
+            _ => TraceEventKind::EpisodeEnd { attributed: time },
+        }
+    }
+
+    /// A shard of `len` random events; component ids run past the name
+    /// table so some names resolve to `"?"`.
+    fn random_shard(rng: &mut SplitMix64, len: u64) -> TraceShard {
+        let mut shard = TraceShard::labeled(&random_text(rng));
+        shard.names = (0..rng.gen_range(4)).map(|_| random_text(rng)).collect();
+        for span in 0..len {
+            let pick = rng.gen_range(KINDS);
+            shard.events.push(TraceEvent {
+                span,
+                parent: rng.gen_bool(1, 2).then(|| rng.gen_range(span + 1)),
+                time: SimTime(rng.next_u64() >> rng.gen_range(64)),
+                dur: SimTime(if rng.gen_bool(1, 2) {
+                    0
+                } else {
+                    rng.next_u64() >> rng.gen_range(64)
+                }),
+                thread: ThreadId(rng.next_u32() % 4),
+                component: ComponentId(rng.next_u32() % 6),
+                epoch: Epoch(rng.next_u32() % 3),
+                kind: random_kind(rng, pick),
+            });
+        }
+        shard.span_count = len;
+        shard.dropped = rng.gen_range(3);
+        shard.dropped_recovery = rng.gen_range(3);
+        shard
+    }
+
+    /// Which escaping paths `text` exercises: quote, backslash, control
+    /// character, non-ASCII.
+    fn note_escapes(seen: &mut [bool; 4], text: &str) {
+        seen[0] |= text.contains('"');
+        seen[1] |= text.contains('\\');
+        seen[2] |= text.chars().any(char::is_control);
+        seen[3] |= !text.is_ascii();
+    }
+
+    #[test]
+    fn streaming_renderers_match_the_json_tree_oracle() {
+        let mut rng = SplitMix64::new(0x7ACE_5EED);
+        // Zero shards, empty shards, then random ones; the last case is
+        // large enough for the streamed writers to spill many chunks.
+        let mut cases = vec![
+            vec![],
+            vec![TraceShard::default()],
+            vec![TraceShard::labeled("empty \"one\""), TraceShard::default()],
+        ];
+        for _ in 0..300 {
+            let n = rng.gen_range(4);
+            cases.push(
+                (0..n)
+                    .map(|_| {
+                        let len = rng.gen_range(30);
+                        random_shard(&mut rng, len)
+                    })
+                    .collect(),
+            );
+        }
+        cases.push(vec![random_shard(&mut rng, 3000)]);
+
+        let mut kinds = BTreeSet::new();
+        let mut seen = [false; 6];
+        let mut escapes = [false; 4];
+        for shards in &cases {
+            for shard in shards {
+                note_escapes(&mut escapes, &shard.label);
+                shard
+                    .names
+                    .iter()
+                    .for_each(|n| note_escapes(&mut escapes, n));
+                for ev in &shard.events {
+                    kinds.insert(ev.kind.name());
+                    seen[usize::from(ev.parent.is_some())] = true;
+                    seen[2 + usize::from(ev.dur > SimTime::ZERO)] = true;
+                    if let TraceEventKind::FaultInjected { depth } = ev.kind {
+                        seen[4 + usize::from(depth > 0)] = true;
+                    }
+                    if let TraceEventKind::InvokeEnter { function, .. }
+                    | TraceEventKind::WalkStep { function, .. }
+                    | TraceEventKind::Upcall { function } = &ev.kind
+                    {
+                        note_escapes(&mut escapes, function);
+                    }
+                }
+            }
+            let jsonl = oracle::shards_to_jsonl(shards);
+            let chrome = oracle::shards_to_chrome(shards);
+            assert_eq!(shards_to_jsonl(shards), jsonl);
+            assert_eq!(shards_to_chrome(shards), chrome);
+            let mut streamed = Vec::new();
+            write_jsonl(shards, &mut streamed).unwrap();
+            assert!(streamed == jsonl.as_bytes(), "streamed JSON-lines differ");
+            streamed.clear();
+            write_chrome(shards, &mut streamed).unwrap();
+            assert!(
+                streamed == chrome.as_bytes(),
+                "streamed Chrome JSON differs"
+            );
+        }
+        assert_eq!(kinds.len() as u64, KINDS, "every event kind rendered");
+        assert_eq!(seen, [true; 6], "parent, dur and fault depth: both cases");
+        assert_eq!(escapes, [true; 4], "every escaping path exercised");
+    }
+
+    #[test]
+    fn micros_match_f64_debug_rendering() {
+        for ns in [
+            0,
+            1,
+            10,
+            100,
+            999,
+            1000,
+            1001,
+            1010,
+            1100,
+            123_456_789,
+            999_999_999_999_999,
+            1_000_000_000_000_000,
+            10_000_000_000_000_001,
+            u64::MAX,
+        ] {
+            let mut out = String::new();
+            Micros(SimTime(ns)).write_json(&mut out);
+            assert_eq!(out, format!("{:?}", ns as f64 / 1000.0), "{ns} ns");
+        }
+    }
+
+    #[test]
+    fn recorder_interns_function_names_and_materialises_them_at_drain() {
+        let mut r = FlightRecorder::default();
+        r.enable(8);
+        let enter = |r: &mut FlightRecorder, function: &str| {
+            let s = r.alloc_span();
+            let kind = TraceEventKind::InvokeEnter {
+                function,
+                client: ComponentId(0),
+            };
+            r.record(ev(s, None, 1, 0, kind));
+        };
+        // The same name from two addresses, and one address rewritten in
+        // place with another name: the address cache must never confuse
+        // them.
+        let mut buf = String::from("take");
+        enter(&mut r, &buf);
+        enter(&mut r, "take");
+        buf.replace_range(.., "give");
+        enter(&mut r, &buf);
+        enter(&mut r, &buf);
+        assert_eq!(r.functions.len(), 2, "one table entry per distinct name");
+        let (events, ..) = r.drain();
+        let names: Vec<String> = events
+            .into_iter()
+            .map(|e| match e.kind {
+                TraceEventKind::InvokeEnter { function, .. } => function,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(names, ["take", "take", "give", "give"]);
+    }
+
+    /// The `Json`-tree renderer the streaming writers replaced, kept as
+    /// their differential oracle: every object is built as a [`Json`] value
+    /// (the whole Chrome dump as one tree) and then serialised.
+    mod oracle {
+        use super::super::*;
+        use crate::json::Json;
+
+        fn event_json(ev: &TraceEvent, names: &[String]) -> Json {
+            let mut j = Json::object();
+            j.push("span", ev.span);
+            match ev.parent {
+                Some(p) => j.push("parent", p),
+                None => j.push("parent", Json::Null),
+            };
+            j.push("ts", ev.time.0)
+                .push("dur", ev.dur.0)
+                .push("tid", ev.thread.0)
+                .push("comp", ev.component.0)
+                .push(
+                    "name",
+                    names
+                        .get(ev.component.0 as usize)
+                        .map_or("?", String::as_str),
+                )
+                .push("epoch", ev.epoch.0)
+                .push("kind", ev.kind.name());
+            match &ev.kind {
+                TraceEventKind::InvokeEnter { function, client } => {
+                    j.push("function", function.as_str())
+                        .push("client", client.0);
+                }
+                TraceEventKind::InvokeExit { outcome } => {
+                    j.push("outcome", *outcome);
+                }
+                TraceEventKind::Sleep { until } => {
+                    j.push("until", until.0);
+                }
+                TraceEventKind::MechanismFired { mech, n } => {
+                    j.push("mech", mech.name()).push("n", *n);
+                }
+                TraceEventKind::WalkStep {
+                    function,
+                    desc,
+                    mech,
+                } => {
+                    j.push("function", function.as_str());
+                    match desc {
+                        Some(d) => j.push("desc", *d),
+                        None => j.push("desc", Json::Null),
+                    };
+                    j.push("mech", mech.name());
+                }
+                TraceEventKind::DescriptorCreated { desc } => {
+                    j.push("desc", *desc);
+                }
+                TraceEventKind::DescriptorClosed { desc, dropped } => {
+                    j.push("desc", *desc).push("dropped", *dropped);
+                }
+                TraceEventKind::Upcall { function } => {
+                    j.push("function", function.as_str());
+                }
+                TraceEventKind::DeadLetter {
+                    desc,
+                    msg,
+                    deliveries,
+                } => {
+                    j.push("desc", *desc)
+                        .push("msg", *msg)
+                        .push("deliveries", *deliveries);
+                }
+                TraceEventKind::EpisodeEnd { attributed } => {
+                    j.push("attributed", attributed.0);
+                }
+                TraceEventKind::FaultInjected { depth } => {
+                    // Emitted only for nested faults so that the established
+                    // single-fault dumps stay byte-identical.
+                    if *depth > 0 {
+                        j.push("depth", *depth);
+                    }
+                }
+                TraceEventKind::DegradedMarked { until } => {
+                    j.push("until", until.0);
+                }
+                TraceEventKind::Block
+                | TraceEventKind::Wake
+                | TraceEventKind::WatchdogFired
+                | TraceEventKind::ColdRestart
+                | TraceEventKind::Reboot => {}
+            }
+            j
+        }
+
+        fn header_json(shard: &TraceShard) -> Json {
+            let mut j = Json::object();
+            j.push("v", TRACE_SCHEMA_VERSION)
+                .push("shard", shard.label.as_str())
+                .push(
+                    "names",
+                    Json::Array(shard.names.iter().map(|n| Json::from(n.as_str())).collect()),
+                )
+                .push("events", shard.events.len())
+                .push("dropped", shard.dropped)
+                .push("dropped_recovery", shard.dropped_recovery)
+                .push("span_count", shard.span_count);
+            j
+        }
+
+        pub(super) fn shards_to_jsonl(shards: &[TraceShard]) -> String {
+            let mut out = String::new();
+            for shard in shards {
+                out.push_str(&header_json(shard).to_line());
+                out.push('\n');
+                for ev in &shard.events {
+                    out.push_str(&event_json(ev, &shard.names).to_line());
+                    out.push('\n');
+                }
+            }
+            out
+        }
+
+        fn chrome_name(ev: &TraceEvent, names: &[String]) -> String {
+            let comp = names
+                .get(ev.component.0 as usize)
+                .map_or("?", String::as_str);
+            match &ev.kind {
+                TraceEventKind::InvokeEnter { function, .. } => format!("call {comp}.{function}"),
+                TraceEventKind::InvokeExit { outcome } => format!("ret {outcome}"),
+                TraceEventKind::Block => format!("block in {comp}"),
+                TraceEventKind::Sleep { .. } => "sleep".to_owned(),
+                TraceEventKind::Wake => format!("wake ({comp})"),
+                TraceEventKind::FaultInjected { depth: 0 } => format!("FAULT {comp}"),
+                TraceEventKind::FaultInjected { depth } => {
+                    format!("FAULT {comp} (nested x{depth})")
+                }
+                TraceEventKind::WatchdogFired => format!("WATCHDOG {comp}"),
+                TraceEventKind::DegradedMarked { .. } => format!("degraded {comp}"),
+                TraceEventKind::ColdRestart => format!("cold restart {comp}"),
+                TraceEventKind::Reboot => format!("reboot {comp}"),
+                TraceEventKind::MechanismFired { mech, n } => {
+                    format!("{} x{n} ({comp})", mech.name())
+                }
+                TraceEventKind::WalkStep { function, mech, .. } => {
+                    format!("{} replay {comp}.{function}", mech.name())
+                }
+                TraceEventKind::DescriptorCreated { desc } => format!("{comp} desc+{desc}"),
+                TraceEventKind::DescriptorClosed { desc, .. } => format!("{comp} desc-{desc}"),
+                TraceEventKind::Upcall { function } => format!("upcall {comp}.{function}"),
+                TraceEventKind::DeadLetter {
+                    msg, deliveries, ..
+                } => format!("DEAD-LETTER {comp} msg {msg} (x{deliveries})"),
+                TraceEventKind::EpisodeEnd { .. } => format!("episode end {comp}"),
+            }
+        }
+
+        pub(super) fn shards_to_chrome(shards: &[TraceShard]) -> String {
+            let mut events: Vec<Json> = Vec::new();
+            for (pid, shard) in shards.iter().enumerate() {
+                let mut meta = Json::object();
+                meta.push("ph", "M")
+                    .push("pid", pid)
+                    .push("name", "process_name");
+                let mut args = Json::object();
+                args.push("name", shard.label.as_str());
+                meta.push("args", args);
+                events.push(meta);
+                for ev in &shard.events {
+                    let mut j = Json::object();
+                    j.push("name", chrome_name(ev, &shard.names))
+                        .push("cat", ev.kind.name())
+                        .push("pid", pid)
+                        .push("tid", ev.thread.0)
+                        .push("ts", ev.time.0 as f64 / 1000.0);
+                    if ev.dur > SimTime::ZERO {
+                        j.push("ph", "X").push("dur", ev.dur.0 as f64 / 1000.0);
+                    } else {
+                        j.push("ph", "i").push("s", "t");
+                    }
+                    let mut args = Json::object();
+                    args.push("span", ev.span);
+                    if let Some(p) = ev.parent {
+                        args.push("parent", p);
+                    }
+                    args.push("epoch", ev.epoch.0);
+                    j.push("args", args);
+                    events.push(j);
+                }
+            }
+            let mut top = Json::object();
+            top.push("traceEvents", Json::Array(events))
+                .push("displayTimeUnit", "ns");
+            top.to_pretty()
+        }
     }
 }
