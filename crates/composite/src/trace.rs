@@ -614,6 +614,13 @@ impl TraceShard {
 /// `io::Write` sink.
 const CHUNK: usize = 1 << 16;
 
+/// Typical rendered bytes per event (JSON-lines, Chrome; the pipeline
+/// workload averages about 150 and 260). The in-memory renderers reserve
+/// this much up front so a large dump is not copied as its buffer grows;
+/// it is only a hint, and untouched capacity is never resident.
+const JSONL_BYTES_PER_EVENT: usize = 160;
+const CHROME_BYTES_PER_EVENT: usize = 280;
+
 /// Called by a renderer after each line or event with the output buffer,
 /// which it may drain to the final destination.
 type Spill<'a> = &'a mut dyn FnMut(&mut String) -> io::Result<()>;
@@ -622,7 +629,7 @@ type Spill<'a> = &'a mut dyn FnMut(&mut String) -> io::Result<()>;
 /// its events, in shard order (byte-identical for any `--jobs`).
 #[must_use]
 pub fn shards_to_jsonl(shards: &[TraceShard]) -> String {
-    in_memory(|out, spill| render_jsonl(shards, out, spill))
+    in_memory(shards, JSONL_BYTES_PER_EVENT, render_jsonl)
 }
 
 /// Render shards in Chrome `trace_event` JSON (loadable in
@@ -632,7 +639,7 @@ pub fn shards_to_jsonl(shards: &[TraceShard]) -> String {
 /// simulation is nanosecond-granular).
 #[must_use]
 pub fn shards_to_chrome(shards: &[TraceShard]) -> String {
-    in_memory(|out, spill| render_chrome(shards, out, spill))
+    in_memory(shards, CHROME_BYTES_PER_EVENT, render_chrome)
 }
 
 /// Stream the [`shards_to_jsonl`] rendering to `w` in chunks, without
@@ -642,7 +649,7 @@ pub fn shards_to_chrome(shards: &[TraceShard]) -> String {
 ///
 /// The first error `w` returns.
 pub fn write_jsonl(shards: &[TraceShard], w: &mut impl io::Write) -> io::Result<()> {
-    streamed(w, |out, spill| render_jsonl(shards, out, spill))
+    streamed(shards, w, render_jsonl)
 }
 
 /// Stream the [`shards_to_chrome`] rendering to `w` in chunks, without
@@ -652,22 +659,23 @@ pub fn write_jsonl(shards: &[TraceShard], w: &mut impl io::Write) -> io::Result<
 ///
 /// The first error `w` returns.
 pub fn write_chrome(shards: &[TraceShard], w: &mut impl io::Write) -> io::Result<()> {
-    streamed(w, |out, spill| render_chrome(shards, out, spill))
+    streamed(shards, w, render_chrome)
 }
 
-fn in_memory(render: impl FnOnce(&mut String, Spill<'_>) -> io::Result<()>) -> String {
-    let mut out = String::new();
+/// A renderer: writes `shards` into the buffer, spilling as it goes.
+type Render = fn(&[TraceShard], &mut String, Spill<'_>) -> io::Result<()>;
+
+fn in_memory(shards: &[TraceShard], bytes_per_event: usize, render: Render) -> String {
+    let events: usize = shards.iter().map(|s| s.events.len()).sum();
+    let mut out = String::with_capacity(events * bytes_per_event);
     // Nothing spills: the whole rendering accumulates in `out`.
-    render(&mut out, &mut |_| Ok(())).expect("rendering into a String cannot fail");
+    render(shards, &mut out, &mut |_| Ok(())).expect("rendering into a String cannot fail");
     out
 }
 
-fn streamed(
-    w: &mut impl io::Write,
-    render: impl FnOnce(&mut String, Spill<'_>) -> io::Result<()>,
-) -> io::Result<()> {
+fn streamed(shards: &[TraceShard], w: &mut impl io::Write, render: Render) -> io::Result<()> {
     let mut buf = String::with_capacity(2 * CHUNK);
-    render(&mut buf, &mut |buf| {
+    render(shards, &mut buf, &mut |buf| {
         if buf.len() >= CHUNK {
             w.write_all(buf.as_bytes())?;
             buf.clear();
