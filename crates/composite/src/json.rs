@@ -349,7 +349,7 @@ fn newline_indent(out: &mut String, spaces: usize) {
 /// recursive; the cap turns hostile input (a line of 100 000 `[`) into a
 /// parse error instead of a stack overflow. The writers never nest
 /// deeper than a handful of levels.
-pub const MAX_PARSE_DEPTH: usize = 128;
+pub(crate) const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
