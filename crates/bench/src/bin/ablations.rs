@@ -19,18 +19,21 @@ use std::time::Instant;
 
 use composite::{
     default_jobs, parallel_map_indexed, CostModel, InterfaceCall as _, Kernel, KernelAccess as _,
-    Priority, SeriesSnapshot, SimTime, TraceShard, Value, DEFAULT_SERIES_WINDOW,
-    DEFAULT_TRACE_CAPACITY,
+    Priority, SeriesSnapshot, TraceShard, Value, DEFAULT_SERIES_WINDOW, DEFAULT_TRACE_CAPACITY,
 };
+use sg_bench::cli::{Cli, Outputs};
 use sg_c3::RecoveryPolicy;
 use superglue::testbed::{Testbed, Variant};
 use superglue_sm::machine::StateMachineBuilder;
 use superglue_sm::tracking::{DescId, DescriptorTracker, OperationLog};
 use superglue_sm::{DescriptorResourceModel, State};
 
+const USAGE: &str =
+    "usage: ablations [--jobs N] [--trace PATH] [--series PATH] [--series-window NS]";
+
 /// Ablation 1: on-demand (T1) vs eager recovery — what a high-priority
 /// client waits for after a fault when many descriptors are live.
-fn ablation_policy(opts: &AblationOpts) -> AblationOutput {
+fn ablation_policy(opts: &Outputs) -> AblationOutput {
     let mut out = String::new();
     let mut shards = Vec::new();
     let mut series = Vec::new();
@@ -39,15 +42,15 @@ fn ablation_policy(opts: &AblationOpts) -> AblationOutput {
     for policy in [RecoveryPolicy::OnDemand, RecoveryPolicy::Eager] {
         let mut tb = Testbed::build_with(Variant::SuperGlue, CostModel::paper_defaults(), policy)
             .expect("testbed builds");
-        if opts.trace {
+        if opts.tracing() {
             tb.runtime
                 .kernel_mut()
                 .enable_tracing(DEFAULT_TRACE_CAPACITY);
         }
-        if opts.series_window > 0 {
+        if opts.series_on() {
             tb.runtime
                 .kernel_mut()
-                .enable_telemetry(SimTime(opts.series_window));
+                .enable_telemetry(opts.series_window());
         }
         let t = tb.spawn_thread(tb.ids.app1, Priority(5));
         let (app, lock) = (tb.ids.app1, tb.ids.lock);
@@ -85,13 +88,13 @@ fn ablation_policy(opts: &AblationOpts) -> AblationOutput {
             "  {policy:?}: first request served after {first_us:8.1} us wall  \
              ({recovered} descriptors recovered before it completed)"
         );
-        if opts.series_window > 0 {
+        if opts.series_on() {
             series.push((
                 format!("ablations/policy/{policy:?}"),
                 SeriesSnapshot::from_kernel(tb.runtime.kernel()),
             ));
         }
-        if opts.trace {
+        if opts.tracing() {
             let mut shard = TraceShard::labeled(&format!("ablations/policy/{policy:?}"));
             let label = shard.label.clone();
             shard.absorb(tb.runtime.kernel_mut().take_trace(&label));
@@ -108,7 +111,7 @@ fn ablation_policy(opts: &AblationOpts) -> AblationOutput {
 
 /// Ablation 2+3: bounded state-machine tracking vs the operation log
 /// §II-C rejects, and shortest-walk vs full-history replay.
-fn ablation_tracker(_opts: &AblationOpts) -> AblationOutput {
+fn ablation_tracker(_opts: &Outputs) -> AblationOutput {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -165,18 +168,18 @@ fn ablation_tracker(_opts: &AblationOpts) -> AblationOutput {
 }
 
 /// Ablation 4: G1 redundant storage on vs off — RamFS data survival.
-fn ablation_g1(opts: &AblationOpts) -> AblationOutput {
+fn ablation_g1(opts: &Outputs) -> AblationOutput {
     let mut out = String::new();
     let mut shards = Vec::new();
     let mut series = Vec::new();
     let _ = writeln!(out, "\n== Ablation 4: G1 redundant storage on vs off ==");
     for persist in [true, false] {
         let mut k = Kernel::with_costs(CostModel::free());
-        if opts.trace {
+        if opts.tracing() {
             k.enable_tracing(DEFAULT_TRACE_CAPACITY);
         }
-        if opts.series_window > 0 {
-            k.enable_telemetry(SimTime(opts.series_window));
+        if opts.series_on() {
+            k.enable_telemetry(opts.series_window());
         }
         let app = k.add_client_component("app");
         let st = k.add_component(
@@ -236,13 +239,13 @@ fn ablation_g1(opts: &AblationOpts) -> AblationOutput {
             )
             .expect("read");
         let survived = matches!(&read, Value::Bytes(b) if b.len() == 64);
-        if opts.series_window > 0 {
+        if opts.series_on() {
             series.push((
                 format!("ablations/g1/{}", if persist { "on" } else { "off" }),
                 SeriesSnapshot::from_kernel(&k),
             ));
         }
-        if opts.trace {
+        if opts.tracing() {
             let mut shard = TraceShard::labeled(&format!(
                 "ablations/g1/{}",
                 if persist { "on" } else { "off" }
@@ -270,70 +273,35 @@ fn ablation_g1(opts: &AblationOpts) -> AblationOutput {
     (out, shards, series)
 }
 
-/// What the harness asked each ablation to capture.
-#[derive(Clone, Copy)]
-struct AblationOpts {
-    trace: bool,
-    /// Telemetry window width in simulated ns (0 = off).
-    series_window: u64,
-}
-
 /// An ablation's report plus any flight-recorder shards and windowed
 /// telemetry sections it captured.
 type AblationOutput = (String, Vec<TraceShard>, Vec<(String, SeriesSnapshot)>);
 
-/// One ablation: takes the capture options, returns its output.
-type Ablation = fn(&AblationOpts) -> AblationOutput;
+/// One ablation: takes the requested artifacts, returns its output.
+type Ablation = fn(&Outputs) -> AblationOutput;
 
 fn main() {
     let mut jobs = default_jobs();
-    let mut trace_path: Option<String> = None;
-    let mut series_path: Option<String> = None;
-    let mut series_window = DEFAULT_SERIES_WINDOW.0;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
-            }
-            "--trace" => trace_path = Some(args.next().expect("--trace PATH")),
-            "--series" => series_path = Some(args.next().expect("--series PATH")),
-            "--series-window" => {
-                series_window = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--series-window NS");
-            }
-            other => panic!("unknown argument {other:?}"),
+    let mut out = Outputs::new(DEFAULT_SERIES_WINDOW);
+    let mut cli = Cli::new("ablations", USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--jobs" => jobs = cli.value(),
+            "--trace" | "--series" | "--series-window" => out.take(&mut cli),
+            _ => cli.unknown(),
         }
     }
-    let opts = AblationOpts {
-        trace: trace_path.is_some(),
-        series_window: if series_path.is_some() {
-            series_window
-        } else {
-            0
-        },
-    };
+    out.create();
     let ablations: [Ablation; 3] = [ablation_policy, ablation_tracker, ablation_g1];
     let mut shards = Vec::new();
     let mut series = Vec::new();
     for (report, mut s, mut t) in
-        parallel_map_indexed(ablations.len(), jobs, |i| ablations[i](&opts))
+        parallel_map_indexed(ablations.len(), jobs, |i| ablations[i](&out))
     {
         print!("{report}");
         shards.append(&mut s);
         series.append(&mut t);
     }
-    if let Some(path) = trace_path {
-        if let Err(e) = sg_bench::write_trace(&path, &shards) {
-            eprintln!("error: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = series_path {
-        let sections: Vec<(String, &SeriesSnapshot)> =
-            series.iter().map(|(c, s)| (c.clone(), s)).collect();
-        sg_bench::write_series(&path, opts.series_window, &sections);
-    }
+    out.trace(|| shards);
+    out.series(|| series.iter().map(|(c, s)| (c.clone(), s)).collect());
 }

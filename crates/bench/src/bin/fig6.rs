@@ -25,6 +25,9 @@
 //! `--series PATH` dumps windowed recovery telemetry of the same
 //! fault → recover cycles as JSON-lines for `sgstat series`
 //! (`--series-window NS` overrides the 1ms default window).
+//!
+//! `--loc` prints Fig 6(c) only; `--emit DIR` also writes the generated
+//! stub sources to DIR.
 
 use std::time::Instant;
 
@@ -33,8 +36,13 @@ use composite::{
     InterfaceCall as _, KernelAccess as _, SeriesSnapshot, SimTime, TraceShard,
     DEFAULT_SERIES_WINDOW, DEFAULT_TRACE_CAPACITY,
 };
+use sg_bench::cli::{write_failed, Cli, Outputs};
 use sg_bench::{handwritten_loc, rig_elided, rustc_version, Rig, C3_STUB_SOURCES, SERVICES};
 use superglue::testbed::Variant;
+
+const USAGE: &str = "\
+usage: fig6 [--loc] [--emit DIR] [--elide] [--check-ratio X] [--bench-json PATH]
+            [--trace PATH] [--series PATH] [--series-window NS]";
 
 const BATCH: u64 = 10_000;
 const REPS: usize = 7;
@@ -185,7 +193,7 @@ impl Fig6aRow {
     }
 }
 
-fn write_bench_json(path: &str, rows: &[Fig6aRow]) {
+fn bench_json(rows: &[Fig6aRow]) -> Json {
     let mut doc = Json::object();
     doc.push("bench", "fig6a_tracking");
     doc.push("unit", "us_per_iteration");
@@ -217,44 +225,30 @@ fn write_bench_json(path: &str, rows: &[Fig6aRow]) {
         arr.push(o);
     }
     doc.push("rows", arr);
-    std::fs::write(path, doc.to_pretty()).expect("write bench json");
-    println!("bench json written to {path}");
+    doc
 }
 
 fn main() {
-    let loc_only = std::env::args().any(|a| a == "--loc");
+    let mut loc_only = false;
     // --elide interprets the certified tracking-elision stubs on the
     // Fig 6(b) recovery path and traces; the trace bytes must be
     // identical to a run without the flag.
-    let elide = std::env::args().any(|a| a == "--elide");
-    let (emit_dir, trace_path, bench_json, check_ratio, series_path, series_window) = {
-        let mut args = std::env::args();
-        let mut dir = None;
-        let mut trace = None;
-        let mut bench = None;
-        let mut check = None;
-        let mut series = None;
-        let mut window = DEFAULT_SERIES_WINDOW.0;
-        while let Some(a) = args.next() {
-            if a == "--emit" {
-                dir = args.next();
-            } else if a == "--trace" {
-                trace = args.next();
-            } else if a == "--bench-json" {
-                bench = args.next();
-            } else if a == "--check-ratio" {
-                check = args.next().and_then(|v| v.parse::<f64>().ok());
-            } else if a == "--series" {
-                series = args.next();
-            } else if a == "--series-window" {
-                window = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--series-window NS");
-            }
+    let mut elide = false;
+    let mut emit_dir: Option<String> = None;
+    let mut check_ratio: Option<f64> = None;
+    let mut out = Outputs::new(DEFAULT_SERIES_WINDOW);
+    let mut cli = Cli::new("fig6", USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--loc" => loc_only = true,
+            "--elide" => elide = true,
+            "--emit" => emit_dir = Some(cli.value()),
+            "--check-ratio" => check_ratio = Some(cli.value_in(0.0..f64::INFINITY)),
+            "--trace" | "--bench-json" | "--series" | "--series-window" => out.take(&mut cli),
+            _ => cli.unknown(),
         }
-        (dir, trace, bench, check, series, window)
-    };
+    }
+    out.create();
 
     println!("== Fig 6(c): lines of recovery code per system service ==");
     println!(
@@ -288,7 +282,7 @@ fn main() {
                 &c.client_source,
                 &c.server_source,
             )
-            .expect("write generated stubs");
+            .unwrap_or_else(|e| write_failed(dir, e));
         }
     }
     if let Some(dir) = &emit_dir {
@@ -334,9 +328,7 @@ fn main() {
         );
         rows.push(row);
     }
-    if let Some(path) = &bench_json {
-        write_bench_json(path, &rows);
-    }
+    out.bench_json(|| bench_json(&rows));
     if let Some(max) = check_ratio {
         // The gate covers both interpreters: the fully tracked stubs
         // and the certified-elision fast paths (which may only improve).
@@ -388,12 +380,8 @@ fn main() {
     println!("note: recovery cost ordering tracks the mechanism count of SIII-C");
     println!("      (Event uses R0+T0+T1+D1+G0+U0; Lock only R0+T0+T1).");
 
-    if trace_path.is_some() || series_path.is_some() {
-        let window = if series_path.is_some() {
-            series_window
-        } else {
-            0
-        };
+    if out.tracing() || out.series_on() {
+        let window = out.series_window().0;
         let mut shards = Vec::new();
         let mut sections = Vec::new();
         for iface in SERVICES {
@@ -403,16 +391,7 @@ fn main() {
                 shards.push(shard);
             }
         }
-        if let Some(path) = trace_path {
-            if let Err(e) = sg_bench::write_trace(&path, &shards) {
-                eprintln!("error: cannot write trace {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        if let Some(path) = series_path {
-            let refs: Vec<(String, &SeriesSnapshot)> =
-                sections.iter().map(|(c, s)| (c.clone(), s)).collect();
-            sg_bench::write_series(&path, window, &refs);
-        }
+        out.trace(|| shards);
+        out.series(|| sections.iter().map(|(c, s)| (c.clone(), s)).collect());
     }
 }

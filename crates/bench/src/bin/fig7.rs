@@ -34,8 +34,14 @@
 use composite::{
     default_jobs, parallel_map_indexed, Json, MetricsSnapshot, SeriesSnapshot, SimTime,
 };
+use sg_bench::cli::{Cli, Outputs};
 use sg_bench::rustc_version;
 use sg_webserver::{run_fig7_rep, Fig7Config, Fig7Result, WebVariant};
+
+const USAGE: &str = "\
+usage: fig7 [--seconds N] [--connections N] [--repetitions N] [--seed S] [--jobs N]
+            [--json PATH] [--metrics PATH] [--trace PATH] [--series PATH]
+            [--series-window NS] [--bench-json PATH]";
 
 /// Default telemetry window: 1 virtual second, matching the per-second
 /// throughput buckets Fig 7 plots.
@@ -98,63 +104,24 @@ fn sparkline(buckets: &[u64]) -> String {
 
 fn main() {
     let mut cfg = Fig7Config::default();
-    let mut json_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut series_path: Option<String> = None;
-    let mut series_window = FIG7_SERIES_WINDOW;
-    let mut bench_json: Option<String> = None;
+    let mut out = Outputs::new(FIG7_SERIES_WINDOW);
     let mut jobs = default_jobs();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seconds" => {
-                let s: u64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seconds N");
-                cfg.duration = SimTime::from_secs(s);
-            }
-            "--connections" => {
-                cfg.connections = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--connections N");
-            }
-            "--repetitions" => {
-                cfg.repetitions = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--repetitions N");
-                assert!(cfg.repetitions > 0, "--repetitions must be positive");
-            }
-            "--seed" => {
-                cfg.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
-            }
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
-            "--metrics" => metrics_path = Some(args.next().expect("--metrics PATH")),
-            "--trace" => {
-                trace_path = Some(args.next().expect("--trace PATH"));
-                cfg.trace = true;
-            }
-            "--series" => series_path = Some(args.next().expect("--series PATH")),
-            "--series-window" => {
-                series_window = SimTime(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--series-window NS"),
-                );
-            }
-            "--bench-json" => bench_json = Some(args.next().expect("--bench-json PATH")),
-            other => panic!("unknown argument {other:?}"),
+    let mut cli = Cli::new("fig7", USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--seconds" => cfg.duration = SimTime::from_secs(cli.value()),
+            "--connections" => cfg.connections = cli.value(),
+            "--repetitions" => cfg.repetitions = cli.value_in(1..),
+            "--seed" => cfg.seed = cli.value(),
+            "--jobs" => jobs = cli.value(),
+            "--json" | "--metrics" | "--trace" | "--series" | "--series-window"
+            | "--bench-json" => out.take(&mut cli),
+            _ => cli.unknown(),
         }
     }
-    if series_path.is_some() {
-        cfg.series_window = series_window;
-    }
+    cfg.trace = out.tracing();
+    cfg.series_window = out.series_window();
+    out.create();
 
     println!(
         "Fig 7: web-server throughput, {} connections, {}s virtual time, fault period {}, {} rep(s), {jobs} jobs",
@@ -210,58 +177,29 @@ fn main() {
     println!("       (-13.6% with one crash injected every 10s); dips last <2s and never");
     println!("       drop throughput to zero.");
 
-    if let Some(path) = json_path {
-        let out: Vec<Json> = rows
-            .iter()
+    out.json(|| {
+        rows.iter()
             .map(|r| {
-                let mut j = Json::object();
-                j.push("variant", r.variant.to_string())
-                    .push("mean_rps", r.mean_rps)
-                    .push("stdev_rps", r.stdev_rps)
-                    .push("total_requests", r.total_requests)
-                    .push("faults_injected", r.faults_injected)
-                    .push("unrecovered", r.unrecovered)
-                    .push("slowdown_vs_base_pct", slowdown(r))
-                    .push(
-                        "per_second",
-                        Json::Array(r.per_second.iter().map(|&b| Json::from(b)).collect()),
-                    );
+                let mut j = row_json(r, slowdown(r));
+                let per_second = r.per_second.iter().map(|&b| Json::from(b)).collect();
+                j.push("per_second", Json::Array(per_second));
                 j
             })
-            .collect();
-        std::fs::write(&path, Json::Array(out).to_pretty()).expect("write json");
-        println!("rows written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        let mut out = String::new();
-        for r in &rows {
-            out.push_str(&r.metrics.to_json_lines(&variant_label(r.variant)));
-        }
-        std::fs::write(&path, out).expect("write metrics");
-        println!("metrics written to {path}");
-    }
-
-    if let Some(path) = trace_path {
-        // One shard per (variant, repetition), in task order.
-        let shards: Vec<_> = results.iter().filter_map(|r| r.trace.clone()).collect();
-        if let Err(e) = sg_bench::write_trace(&path, &shards) {
-            eprintln!("error: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(path) = series_path {
-        let sections: Vec<(String, &SeriesSnapshot)> = rows
-            .iter()
+            .collect()
+    });
+    out.metrics(|| {
+        rows.iter()
+            .map(|r| r.metrics.to_json_lines(&variant_label(r.variant)))
+            .collect()
+    });
+    // One shard per (variant, repetition), in task order.
+    out.trace(|| results.iter().filter_map(|r| r.trace.clone()).collect());
+    out.series(|| {
+        rows.iter()
             .map(|r| (variant_label(r.variant), &r.telemetry))
-            .collect();
-        sg_bench::write_series(&path, series_window.0, &sections);
-    }
-
-    if let Some(path) = bench_json {
-        write_bench_json(&path, &cfg, &rows, slowdown);
-    }
+            .collect()
+    });
+    out.bench_json(|| bench_json(&cfg, &rows, slowdown));
 }
 
 /// The context label a variant's metrics and series rows carry.
@@ -276,7 +214,7 @@ fn variant_label(v: WebVariant) -> String {
 
 /// The Fig 7 counterpart of `fig6 --bench-json`: per-variant throughput
 /// with run metadata, for CI artifacts and regression diffing.
-fn write_bench_json(path: &str, cfg: &Fig7Config, rows: &[Row], slowdown: impl Fn(&Row) -> f64) {
+fn bench_json(cfg: &Fig7Config, rows: &[Row], slowdown: impl Fn(&Row) -> f64) -> Json {
     let mut doc = Json::object();
     doc.push("bench", "fig7_throughput");
     doc.push("unit", "requests_per_second");
@@ -285,19 +223,21 @@ fn write_bench_json(path: &str, cfg: &Fig7Config, rows: &[Row], slowdown: impl F
     doc.push("repetitions", cfg.repetitions);
     doc.push("seed", cfg.seed);
     doc.push("rustc", rustc_version());
-    let mut arr = Vec::new();
-    for r in rows {
-        let mut o = Json::object();
-        o.push("variant", r.variant.to_string());
-        o.push("mean_rps", r.mean_rps);
-        o.push("stdev_rps", r.stdev_rps);
-        o.push("total_requests", r.total_requests);
-        o.push("faults_injected", r.faults_injected);
-        o.push("unrecovered", r.unrecovered);
-        o.push("slowdown_vs_base_pct", slowdown(r));
-        arr.push(o);
-    }
+    let arr: Vec<Json> = rows.iter().map(|r| row_json(r, slowdown(r))).collect();
     doc.push("rows", arr);
-    std::fs::write(path, doc.to_pretty()).expect("write bench json");
-    println!("bench json written to {path}");
+    doc
+}
+
+/// A row's fields shared by `--json` and `--bench-json`, in output
+/// order.
+fn row_json(r: &Row, slowdown_pct: f64) -> Json {
+    let mut j = Json::object();
+    j.push("variant", r.variant.to_string())
+        .push("mean_rps", r.mean_rps)
+        .push("stdev_rps", r.stdev_rps)
+        .push("total_requests", r.total_requests)
+        .push("faults_injected", r.faults_injected)
+        .push("unrecovered", r.unrecovered)
+        .push("slowdown_vs_base_pct", slowdown_pct);
+    j
 }

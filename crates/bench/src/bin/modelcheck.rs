@@ -31,7 +31,11 @@
 use std::process::ExitCode;
 
 use composite::{run_check, CheckConfig, Counterexample, Json, KernelWalk};
+use sg_bench::cli::Cli;
 use sg_bench::modelck::{event_to_json, sysop_to_json, ElideDiffWalk, SystemWalk};
+
+const USAGE: &str = "usage: modelcheck [--core-steps N] [--system-steps N] [--elide-steps N] \
+                     [--seed S] [--out PATH]";
 
 struct Args {
     core_steps: usize,
@@ -41,7 +45,7 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Args {
     let mut args = Args {
         core_steps: 10_000,
         system_steps: 300,
@@ -49,41 +53,23 @@ fn parse_args() -> Result<Args, String> {
         seed: 0xC3_5EED,
         out: "target/modelcheck-counterexample.json".to_owned(),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].clone();
-        let mut take = || -> Result<String, String> {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+    let mut cli = Cli::new("modelcheck", USAGE);
+    while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
-            "--core-steps" => {
-                args.core_steps = take()?.parse().map_err(|e| format!("--core-steps: {e}"))?;
-            }
-            "--system-steps" => {
-                args.system_steps = take()?
-                    .parse()
-                    .map_err(|e| format!("--system-steps: {e}"))?;
-            }
-            "--elide-steps" => {
-                args.elide_steps = take()?.parse().map_err(|e| format!("--elide-steps: {e}"))?;
-            }
+            "--core-steps" => args.core_steps = cli.value(),
+            "--system-steps" => args.system_steps = cli.value(),
+            "--elide-steps" => args.elide_steps = cli.value(),
             "--seed" => {
-                let v = take()?;
-                args.seed = v
-                    .strip_prefix("0x")
-                    .map_or_else(|| v.parse(), |h| u64::from_str_radix(h, 16))
-                    .map_err(|e| format!("--seed: {e}"))?;
+                args.seed = cli.parse_with(|v| {
+                    v.strip_prefix("0x")
+                        .map_or_else(|| v.parse(), |h| u64::from_str_radix(h, 16))
+                });
             }
-            "--out" => args.out = take()?,
-            other => return Err(format!("unknown argument {other:?}")),
+            "--out" => args.out = cli.value(),
+            _ => cli.unknown(),
         }
-        i += 1;
     }
-    Ok(args)
+    args
 }
 
 /// Write the shrunk counterexample as a JSON artifact and print it.
@@ -133,17 +119,7 @@ fn report_failure<E, F: Fn(&E) -> Json>(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("modelcheck: {e}");
-            eprintln!(
-                "usage: modelcheck [--core-steps N] [--system-steps N] [--elide-steps N] \
-                 [--seed S] [--out PATH]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = parse_args();
     let mut failed = false;
 
     if args.core_steps > 0 {

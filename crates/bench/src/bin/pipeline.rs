@@ -33,11 +33,18 @@
 use composite::{
     default_jobs, parallel_map_indexed, Json, MetricsSnapshot, SeriesSnapshot, SimTime,
 };
+use sg_bench::cli::{Cli, Outputs};
 use sg_bench::rustc_version;
 use sg_pipeline::{
     expected_output, run_pipeline_rep, PipelineConfig, PipelineResult, PipelineVariant,
 };
 use sg_swifi::{run_pipeline_campaign_parallel, CampaignRow, PipelineCampaignConfig};
+
+const USAGE: &str = "\
+usage: pipeline [--messages N] [--work-us N] [--poison-every N] [--poison-limit K]
+                [--capacity N] [--repetitions N] [--seed S] [--injections N]
+                [--showstoppers N] [--jobs N] [--json PATH] [--metrics PATH]
+                [--trace PATH] [--series PATH] [--series-window NS] [--bench-json PATH]";
 
 /// Default telemetry window: 1 virtual second.
 const SERIES_WINDOW: SimTime = SimTime(1_000_000_000);
@@ -100,99 +107,33 @@ fn main() {
     };
     let mut repetitions: u64 = 1;
     let mut campaign = PipelineCampaignConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut series_path: Option<String> = None;
-    let mut series_window = SERIES_WINDOW;
-    let mut bench_json: Option<String> = None;
+    let mut out = Outputs::new(SERIES_WINDOW);
     let mut jobs = default_jobs();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--messages" => {
-                cfg.jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--messages N");
-            }
-            "--work-us" => {
-                let us: u64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--work-us N");
-                cfg.work = SimTime::from_micros(us);
-            }
-            "--poison-every" => {
-                cfg.poison_every = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--poison-every N");
-            }
-            "--poison-limit" => {
-                cfg.poison_limit = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--poison-limit K");
-                assert!(
-                    (1..=3).contains(&cfg.poison_limit),
-                    "--poison-limit must stay within the per-call retry budget (1..=3)"
-                );
-            }
-            "--capacity" => {
-                cfg.capacity = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--capacity N");
-            }
-            "--repetitions" => {
-                repetitions = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--repetitions N");
-                assert!(repetitions > 0, "--repetitions must be positive");
-            }
-            "--seed" => {
-                cfg.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
-            "--injections" => {
-                campaign.injections = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--injections N");
-            }
-            "--showstoppers" => {
-                campaign.showstoppers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--showstoppers N");
-            }
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
-            }
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
-            "--metrics" => metrics_path = Some(args.next().expect("--metrics PATH")),
-            "--trace" => {
-                trace_path = Some(args.next().expect("--trace PATH"));
-                cfg.trace = true;
-                campaign.trace = true;
-            }
-            "--series" => series_path = Some(args.next().expect("--series PATH")),
-            "--series-window" => {
-                series_window = SimTime(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--series-window NS"),
-                );
-            }
-            "--bench-json" => bench_json = Some(args.next().expect("--bench-json PATH")),
-            other => panic!("unknown argument {other:?}"),
+    let mut cli = Cli::new("pipeline", USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--messages" => cfg.jobs = cli.value(),
+            "--work-us" => cfg.work = SimTime::from_micros(cli.value()),
+            "--poison-every" => cfg.poison_every = cli.value(),
+            // The dead-letter threshold must stay within the per-call
+            // retry budget.
+            "--poison-limit" => cfg.poison_limit = cli.value_in(1..=3),
+            "--capacity" => cfg.capacity = cli.value(),
+            "--repetitions" => repetitions = cli.value_in(1..),
+            "--seed" => cfg.seed = cli.value(),
+            "--injections" => campaign.injections = cli.value(),
+            "--showstoppers" => campaign.showstoppers = cli.value(),
+            "--jobs" => jobs = cli.value(),
+            "--json" | "--metrics" | "--trace" | "--series" | "--series-window"
+            | "--bench-json" => out.take(&mut cli),
+            _ => cli.unknown(),
         }
     }
-    if series_path.is_some() {
-        cfg.series_window = series_window;
-        campaign.series_window_ns = series_window.0;
-    }
+    cfg.trace = out.tracing();
+    campaign.trace = out.tracing();
+    cfg.series_window = out.series_window();
+    campaign.series_window_ns = out.series_window().0;
+    out.create();
     // The run ends when the logger has everything; the duration is a
     // hard cap sized to the stream (worker-bound) plus generous
     // recovery slack.
@@ -268,9 +209,8 @@ fn main() {
         "dead-letter routing must cap the reboot count"
     );
 
-    if let Some(path) = json_path {
-        let out: Vec<Json> = rows
-            .iter()
+    out.json(|| {
+        rows.iter()
             .map(|r| {
                 let mut j = Json::object();
                 j.push("variant", r.variant.to_string())
@@ -284,40 +224,30 @@ fn main() {
                     .push("exact", r.exact);
                 j
             })
+            .collect()
+    });
+    out.metrics(|| {
+        let mut lines: String = rows
+            .iter()
+            .map(|r| r.metrics.to_json_lines(&variant_label(r.variant)))
             .collect();
-        std::fs::write(&path, Json::Array(out).to_pretty()).expect("write json");
-        println!("rows written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        let mut out = String::new();
-        for r in &rows {
-            out.push_str(&r.metrics.to_json_lines(&variant_label(r.variant)));
-        }
-        out.push_str(&camp.metrics.to_json_lines("pipeline/campaign"));
-        std::fs::write(&path, out).expect("write metrics");
-        println!("metrics written to {path}");
-    }
-
-    if let Some(path) = trace_path {
+        lines.push_str(&camp.metrics.to_json_lines("pipeline/campaign"));
+        lines
+    });
+    out.trace(|| {
         let mut shards: Vec<_> = results.iter().filter_map(|r| r.trace.clone()).collect();
         shards.extend(camp.trace.iter().cloned());
-        if let Err(e) = sg_bench::write_trace(&path, &shards) {
-            eprintln!("error: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(path) = series_path {
+        shards
+    });
+    out.series(|| {
         let mut sections: Vec<(String, &SeriesSnapshot)> = rows
             .iter()
             .map(|r| (variant_label(r.variant), &r.telemetry))
             .collect();
         sections.push(("pipeline/campaign".to_owned(), &camp.series));
-        sg_bench::write_series(&path, series_window.0, &sections);
-    }
-
-    if let Some(path) = bench_json {
+        sections
+    });
+    out.bench_json(|| {
         let mut doc = Json::object();
         doc.push("bench", "pipeline_exactly_once");
         doc.push("unit", "messages_per_second");
@@ -354,9 +284,8 @@ fn main() {
         c.push("reboots", camp.showstopper.reboots);
         c.push("reboot_cap", camp.showstopper.reboot_cap);
         doc.push("campaign", c);
-        std::fs::write(&path, doc.to_pretty()).expect("write bench json");
-        println!("bench json written to {path}");
-    }
+        doc
+    });
 }
 
 /// The context label a variant's metrics and series rows carry.

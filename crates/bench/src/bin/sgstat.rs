@@ -27,6 +27,7 @@
 
 use std::process::ExitCode;
 
+use sg_bench::cli::{help, usage_error, Cli};
 use sg_bench::stat::{
     avail_report, collapsed_stacks, critpath_report, evaluate_slo, openmetrics_from_metrics,
     parse_series, parse_trace, series_report, Conservation, SloPolicy,
@@ -90,39 +91,31 @@ fn cmd_slo(path: &str, policy: &SloPolicy) -> Result<ExitCode, String> {
     }
 }
 
-const USAGE: &str = "usage: sgstat series SERIES.jsonl \
-                     | sgstat avail TRACE.jsonl \
-                     | sgstat critpath TRACE.jsonl [--collapse] \
-                     | sgstat export METRICS.jsonl \
-                     | sgstat slo TRACE.jsonl [--max-p99-ns N] [--min-availability X]";
+const USAGE: &str = "\
+usage: sgstat series SERIES.jsonl
+     | sgstat avail TRACE.jsonl
+     | sgstat critpath TRACE.jsonl [--collapse]
+     | sgstat export METRICS.jsonl
+     | sgstat slo TRACE.jsonl [--max-p99-ns N] [--min-availability X]
+TRACE, SERIES and METRICS are a harness's --trace, --series and --metrics outputs";
 
-fn parse_slo_args(args: &[String]) -> Result<SloPolicy, String> {
+fn slo_policy(flags: &[String]) -> SloPolicy {
     let mut policy = SloPolicy::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    let mut cli = Cli::from_args("sgstat", USAGE, flags.to_vec());
+    while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
-            "--max-p99-ns" => {
-                policy.max_p99_ns = Some(value.parse().map_err(|e| format!("--max-p99-ns: {e}"))?);
-            }
-            "--min-availability" => {
-                let x: f64 = value
-                    .parse()
-                    .map_err(|e| format!("--min-availability: {e}"))?;
-                if !(0.0..=1.0).contains(&x) {
-                    return Err("--min-availability must be in 0.0..=1.0".to_owned());
-                }
-                policy.min_availability = Some(x);
-            }
-            other => return Err(format!("unknown flag {other}")),
+            "--max-p99-ns" => policy.max_p99_ns = Some(cli.value()),
+            "--min-availability" => policy.min_availability = Some(cli.value_in(0.0..=1.0)),
+            _ => cli.unknown(),
         }
     }
-    Ok(policy)
+    policy
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
+        Some("-h" | "--help") => help(USAGE),
         Some("series") if args.len() == 2 => cmd_series(&args[1]),
         Some("avail") if args.len() == 2 => cmd_avail(&args[1]),
         Some("critpath") if args.len() == 2 => cmd_critpath(&args[1], false),
@@ -130,14 +123,12 @@ fn main() -> ExitCode {
             cmd_critpath(&args[1], true)
         }
         Some("export") if args.len() == 2 => cmd_export(&args[1]),
-        Some("slo") if args.len() >= 2 => match parse_slo_args(&args[2..]) {
-            Ok(policy) => cmd_slo(&args[1], &policy),
-            Err(e) => Err(e),
-        },
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Some("slo") if args.len() >= 2 => cmd_slo(&args[1], &slo_policy(&args[2..])),
+        _ => usage_error(
+            "sgstat",
+            USAGE,
+            format_args!("unrecognised arguments {args:?}"),
+        ),
     };
     match result {
         Ok(code) => code,

@@ -34,6 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 use composite::{step, Json, KernelWalk, Model as _, ThreadState};
+use sg_bench::cli::{help, usage_error};
 use sg_bench::modelck::event_from_json;
 use superglue_compiler::CompiledStubSpec;
 use superglue_sm::{FnId, State};
@@ -867,13 +868,16 @@ fn cmd_replay(path: &str, to: Option<u64>) -> Result<ExitCode, String> {
 
 // ---------------------------------------------------------------------
 
-const USAGE: &str = "usage: sgtrace <timeline|tree|verify> TRACE.jsonl \
-                     | sgtrace diff A.jsonl B.jsonl \
-                     | sgtrace replay ARTIFACT.json [--to SPAN]";
+const USAGE: &str = "\
+usage: sgtrace <timeline|tree|verify> TRACE.jsonl
+     | sgtrace diff A.jsonl B.jsonl
+     | sgtrace replay ARTIFACT.json [--to SPAN]
+TRACE.jsonl is a harness's --trace output; ARTIFACT.json a modelcheck counterexample";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
+        Some("-h" | "--help") => help(USAGE),
         Some("timeline") if args.len() == 2 => cmd_timeline(&args[1]),
         Some("tree") if args.len() == 2 => cmd_tree(&args[1]),
         Some("diff") if args.len() == 3 => cmd_diff(&args[1], &args[2]),
@@ -881,12 +885,13 @@ fn main() -> ExitCode {
         Some("replay") if args.len() == 2 => cmd_replay(&args[1], None),
         Some("replay") if args.len() == 4 && args[2] == "--to" => match args[3].parse() {
             Ok(n) => cmd_replay(&args[1], Some(n)),
-            Err(e) => Err(format!("--to {:?}: {e}", args[3])),
+            Err(e) => usage_error("sgtrace", USAGE, format_args!("--to {:?}: {e}", args[3])),
         },
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        _ => usage_error(
+            "sgtrace",
+            USAGE,
+            format_args!("unrecognised arguments {args:?}"),
+        ),
     };
     match result {
         Ok(code) => code,

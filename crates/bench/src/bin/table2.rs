@@ -8,6 +8,8 @@
 //! * `--seed S` — RNG seed (printed for reproducibility);
 //! * `--variant c3|superglue` — which protection runs (default
 //!   superglue);
+//! * `--mask HEX` — the 32-bit fault mask; only its set bits are
+//!   injectable (default 0xFFFFFFFF, the paper's);
 //! * `--jobs N` — worker threads (default: available parallelism).
 //!   Output is bit-identical for every value of `--jobs`;
 //! * `--json PATH` — additionally dump the rows as JSON;
@@ -34,13 +36,18 @@
 
 use std::time::Instant;
 
-use composite::{default_jobs, parallel_map_indexed, Json};
+use composite::{default_jobs, parallel_map_indexed, Json, DEFAULT_SERIES_WINDOW};
+use sg_bench::cli::{Cli, Outputs};
+use sg_bench::SERVICES;
 use sg_swifi::{
-    merge_shards, run_shard, shard_sizes, CampaignConfig, CampaignMode, CampaignResult,
+    merge_shards, run_shard, shard_sizes, CampaignConfig, CampaignMode, CampaignResult, CampaignRow,
 };
 use superglue::testbed::Variant;
 
-const IFACES: [&str; 6] = ["sched", "mm", "fs", "lock", "evt", "tmr"];
+const USAGE: &str = "\
+usage: table2 [--injections N] [--seed S] [--variant c3|superglue] [--mask HEX]
+              [--jobs N] [--correlated] [--elide] [--json PATH] [--metrics PATH]
+              [--trace PATH] [--series PATH] [--series-window NS]";
 
 /// The Table II-B correlated regimes, in output order.
 const MODES: [(&str, CampaignMode); 3] = [
@@ -51,66 +58,43 @@ const MODES: [(&str, CampaignMode); 3] = [
 
 fn main() {
     let mut cfg = CampaignConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut series_path: Option<String> = None;
-    let mut series_window = composite::DEFAULT_SERIES_WINDOW.0;
+    let mut out = Outputs::new(DEFAULT_SERIES_WINDOW);
     let mut jobs = default_jobs();
     let mut correlated = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    let mut cli = Cli::new("table2", USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
             "--correlated" => correlated = true,
             // Interpret the certified-elision stubs. Every output byte
             // (rows, json, metrics, traces) must be identical to a run
             // without the flag — only proven-dead bookkeeping differs.
             "--elide" => cfg.elide = true,
-            "--injections" => {
-                cfg.injections = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--injections N");
+            "--injections" => cfg.injections = cli.value(),
+            "--seed" => cfg.seed = cli.value(),
+            "--variant" => {
+                cfg.variant = cli.parse_with(|v| match v {
+                    "c3" => Ok(Variant::C3),
+                    "superglue" => Ok(Variant::SuperGlue),
+                    _ => Err("expected c3|superglue"),
+                });
             }
-            "--seed" => {
-                cfg.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
-            "--variant" => match args.next().as_deref() {
-                Some("c3") => cfg.variant = Variant::C3,
-                Some("superglue") => cfg.variant = Variant::SuperGlue,
-                other => panic!("--variant c3|superglue, got {other:?}"),
-            },
             "--mask" => {
-                let raw = args.next().expect("--mask HEX");
-                cfg.fault_mask = u32::from_str_radix(raw.trim_start_matches("0x"), 16)
-                    .expect("--mask takes a hex fault mask");
+                cfg.fault_mask =
+                    cli.parse_with(|v| u32::from_str_radix(v.trim_start_matches("0x"), 16));
             }
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
+            "--jobs" => jobs = cli.value(),
+            "--json" | "--metrics" | "--trace" | "--series" | "--series-window" => {
+                out.take(&mut cli);
             }
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
-            "--metrics" => metrics_path = Some(args.next().expect("--metrics PATH")),
-            "--trace" => {
-                trace_path = Some(args.next().expect("--trace PATH"));
-                cfg.trace = true;
-            }
-            "--series" => series_path = Some(args.next().expect("--series PATH")),
-            "--series-window" => {
-                series_window = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--series-window NS");
-            }
-            other => panic!("unknown argument {other:?}"),
+            _ => cli.unknown(),
         }
     }
-    if series_path.is_some() {
-        cfg.series_window_ns = series_window;
-    }
+    cfg.trace = out.tracing();
+    cfg.series_window_ns = out.series_window().0;
     if let Err(e) = cfg.validate() {
-        eprintln!("{e}");
-        std::process::exit(2);
+        cli.fail(e);
     }
+    out.create();
 
     let variant_name = match cfg.variant {
         Variant::SuperGlue => "COMPOSITE+SuperGlue",
@@ -122,31 +106,76 @@ fn main() {
         cfg.injections, cfg.seed, cfg.fault_mask,
     );
 
-    if correlated {
-        run_correlated(&cfg, jobs, json_path, metrics_path, trace_path, series_path);
-        return;
-    }
+    let (results, rows) = if correlated {
+        run_correlated(&cfg, jobs)
+    } else {
+        run_table2(&cfg, jobs)
+    };
+    out.json(|| rows);
+    out.metrics(|| {
+        results
+            .iter()
+            .map(|(context, r)| r.metrics.to_json_lines(context))
+            .collect()
+    });
+    out.trace(|| {
+        results
+            .iter()
+            .flat_map(|(_, r)| r.trace.iter().cloned())
+            .collect()
+    });
+    out.series(|| {
+        results
+            .iter()
+            .map(|(context, r)| (context.clone(), &r.series))
+            .collect()
+    });
+}
 
-    // Flatten every (service, shard) pair into one task pool so all
-    // workers stay busy across service boundaries, then merge per
-    // service in shard order — bit-identical for any job count.
+/// Merged campaigns, each under the context label its metrics and
+/// series rows carry, and the `--json` rows.
+type Tables = (Vec<(String, CampaignResult)>, Vec<Json>);
+
+fn variant_slug(v: Variant) -> &'static str {
+    match v {
+        Variant::SuperGlue => "superglue",
+        Variant::C3 => "c3",
+        Variant::Bare => "bare",
+    }
+}
+
+/// The `--json` fields both tables share, in output order.
+fn push_counts<'j>(j: &'j mut Json, row: &CampaignRow) -> &'j mut Json {
+    j.push("component", row.component.as_str())
+        .push("injected", row.injected)
+        .push("recovered", row.recovered)
+        .push("segfault", row.segfault)
+        .push("propagated", row.propagated)
+        .push("other", row.other)
+        .push("undetected", row.undetected)
+}
+
+/// Table II: flatten every (service, shard) pair into one task pool so
+/// all workers stay busy across service boundaries, then merge per
+/// service in shard order — bit-identical for any job count.
+fn run_table2(cfg: &CampaignConfig, jobs: usize) -> Tables {
     let shards_per_iface = shard_sizes(cfg.injections).len();
     let start = Instant::now();
-    let shard_results = parallel_map_indexed(IFACES.len() * shards_per_iface, jobs, |task| {
+    let shard_results = parallel_map_indexed(SERVICES.len() * shards_per_iface, jobs, |task| {
         run_shard(
-            IFACES[task / shards_per_iface],
-            &cfg,
+            SERVICES[task / shards_per_iface],
+            cfg,
             task % shards_per_iface,
         )
     });
     let results: Vec<CampaignResult> = shard_results
         .chunks(shards_per_iface)
-        .zip(IFACES)
+        .zip(SERVICES)
         .map(|(chunk, iface)| merge_shards(iface, chunk.iter()))
         .collect();
     let elapsed = start.elapsed();
 
-    println!("{}", sg_swifi::CampaignRow::table_header());
+    println!("{}", CampaignRow::table_header());
     for r in &results {
         println!("{}", r.row.table_line());
     }
@@ -157,94 +186,38 @@ fn main() {
     println!("propagation <=0.4%, hangs <=0.8%.");
     println!("wall clock: {:.2}s ({jobs} jobs)", elapsed.as_secs_f64());
 
-    if let Some(path) = json_path {
-        let rows: Vec<Json> = results
-            .iter()
-            .map(|r| {
-                let mut j = Json::object();
-                j.push("component", r.row.component.as_str())
-                    .push("injected", r.row.injected)
-                    .push("recovered", r.row.recovered)
-                    .push("segfault", r.row.segfault)
-                    .push("propagated", r.row.propagated)
-                    .push("other", r.row.other)
-                    .push("undetected", r.row.undetected)
-                    .push("activation_ratio", r.row.activation_ratio())
-                    .push("success_rate", r.row.success_rate());
-                j
-            })
-            .collect();
-        std::fs::write(&path, Json::Array(rows).to_pretty()).expect("write json");
-        println!("rows written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        let mut out = String::new();
-        for (iface, r) in IFACES.iter().zip(&results) {
-            let variant = match cfg.variant {
-                Variant::SuperGlue => "superglue",
-                Variant::C3 => "c3",
-                Variant::Bare => "bare",
-            };
-            out.push_str(
-                &r.metrics
-                    .to_json_lines(&format!("table2/{iface}/{variant}")),
-            );
-        }
-        std::fs::write(&path, out).expect("write metrics");
-        println!("metrics written to {path}");
-    }
-
-    if let Some(path) = trace_path {
-        let shards: Vec<_> = results
-            .iter()
-            .flat_map(|r| r.trace.iter().cloned())
-            .collect();
-        if let Err(e) = sg_bench::write_trace(&path, &shards) {
-            eprintln!("error: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(path) = series_path {
-        let variant = variant_slug(cfg.variant);
-        let sections: Vec<(String, &composite::SeriesSnapshot)> = IFACES
-            .iter()
-            .zip(&results)
-            .map(|(iface, r)| (format!("table2/{iface}/{variant}"), &r.series))
-            .collect();
-        sg_bench::write_series(&path, cfg.series_window_ns, &sections);
-    }
-}
-
-fn variant_slug(v: Variant) -> &'static str {
-    match v {
-        Variant::SuperGlue => "superglue",
-        Variant::C3 => "c3",
-        Variant::Bare => "bare",
-    }
+    let rows = results
+        .iter()
+        .map(|r| {
+            let mut j = Json::object();
+            push_counts(&mut j, &r.row)
+                .push("activation_ratio", r.row.activation_ratio())
+                .push("success_rate", r.row.success_rate());
+            j
+        })
+        .collect();
+    let variant = variant_slug(cfg.variant);
+    let results = SERVICES
+        .iter()
+        .zip(results)
+        .map(|(iface, r)| (format!("table2/{iface}/{variant}"), r))
+        .collect();
+    (results, rows)
 }
 
 /// The Table II-B campaign: every (mode, service, shard) triple in one
 /// flattened task pool, merged per (mode, service) in shard order —
 /// byte-identical output for any `--jobs` value.
-fn run_correlated(
-    cfg: &CampaignConfig,
-    jobs: usize,
-    json_path: Option<String>,
-    metrics_path: Option<String>,
-    trace_path: Option<String>,
-    series_path: Option<String>,
-) {
+fn run_correlated(cfg: &CampaignConfig, jobs: usize) -> Tables {
     let shards_per_iface = shard_sizes(cfg.injections).len();
-    let per_mode = IFACES.len() * shards_per_iface;
+    let per_mode = SERVICES.len() * shards_per_iface;
     let start = Instant::now();
     let shard_results = parallel_map_indexed(MODES.len() * per_mode, jobs, |task| {
         let mut mcfg = *cfg;
         mcfg.mode = MODES[task / per_mode].1;
         let rest = task % per_mode;
         run_shard(
-            IFACES[rest / shards_per_iface],
+            SERVICES[rest / shards_per_iface],
             &mcfg,
             rest % shards_per_iface,
         )
@@ -253,8 +226,8 @@ fn run_correlated(
         .chunks(shards_per_iface)
         .enumerate()
         .map(|(i, chunk)| {
-            let iface = IFACES[i % IFACES.len()];
-            (i / IFACES.len(), iface, merge_shards(iface, chunk.iter()))
+            let iface = SERVICES[i % SERVICES.len()];
+            (i / SERVICES.len(), iface, merge_shards(iface, chunk.iter()))
         })
         .collect();
     let elapsed = start.elapsed();
@@ -266,7 +239,7 @@ fn run_correlated(
         };
         println!();
         println!("Table II-B (correlated faults) — regime: {regime}");
-        println!("{}", sg_swifi::CampaignRow::correlated_header());
+        println!("{}", CampaignRow::correlated_header());
         for (_, _, r) in results.iter().filter(|(m, _, _)| *m == mode_i) {
             println!("{}", r.row.correlated_line());
         }
@@ -274,69 +247,26 @@ fn run_correlated(
     println!();
     println!("wall clock: {:.2}s ({jobs} jobs)", elapsed.as_secs_f64());
 
-    if let Some(path) = json_path {
-        let rows: Vec<Json> = results
-            .iter()
-            .map(|(mode_i, _, r)| {
-                let mut j = Json::object();
-                j.push("mode", MODES[*mode_i].0)
-                    .push("component", r.row.component.as_str())
-                    .push("injected", r.row.injected)
-                    .push("recovered", r.row.recovered)
-                    .push("segfault", r.row.segfault)
-                    .push("propagated", r.row.propagated)
-                    .push("other", r.row.other)
-                    .push("undetected", r.row.undetected)
-                    .push("degraded", r.row.degraded)
-                    .push("watchdog_detected", r.row.watchdog_detected)
-                    .push("nested_recovered", r.row.nested_recovered)
-                    .push("success_rate", r.row.success_rate());
-                j
-            })
-            .collect();
-        std::fs::write(&path, Json::Array(rows).to_pretty()).expect("write json");
-        println!("rows written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        let variant = match cfg.variant {
-            Variant::SuperGlue => "superglue",
-            Variant::C3 => "c3",
-            Variant::Bare => "bare",
-        };
-        let mut out = String::new();
-        for (mode_i, iface, r) in &results {
-            out.push_str(
-                &r.metrics
-                    .to_json_lines(&format!("table2b/{}/{iface}/{variant}", MODES[*mode_i].0)),
-            );
-        }
-        std::fs::write(&path, out).expect("write metrics");
-        println!("metrics written to {path}");
-    }
-
-    if let Some(path) = trace_path {
-        let shards: Vec<_> = results
-            .iter()
-            .flat_map(|(_, _, r)| r.trace.iter().cloned())
-            .collect();
-        if let Err(e) = sg_bench::write_trace(&path, &shards) {
-            eprintln!("error: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(path) = series_path {
-        let variant = variant_slug(cfg.variant);
-        let sections: Vec<(String, &composite::SeriesSnapshot)> = results
-            .iter()
-            .map(|(mode_i, iface, r)| {
-                (
-                    format!("table2b/{}/{iface}/{variant}", MODES[*mode_i].0),
-                    &r.series,
-                )
-            })
-            .collect();
-        sg_bench::write_series(&path, cfg.series_window_ns, &sections);
-    }
+    let rows = results
+        .iter()
+        .map(|(mode_i, _, r)| {
+            let mut j = Json::object();
+            j.push("mode", MODES[*mode_i].0);
+            push_counts(&mut j, &r.row)
+                .push("degraded", r.row.degraded)
+                .push("watchdog_detected", r.row.watchdog_detected)
+                .push("nested_recovered", r.row.nested_recovered)
+                .push("success_rate", r.row.success_rate());
+            j
+        })
+        .collect();
+    let variant = variant_slug(cfg.variant);
+    let results = results
+        .into_iter()
+        .map(|(mode_i, iface, r)| {
+            let mode = MODES[mode_i].0;
+            (format!("table2b/{mode}/{iface}/{variant}"), r)
+        })
+        .collect();
+    (results, rows)
 }

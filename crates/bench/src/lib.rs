@@ -10,6 +10,7 @@
 //! | Fig 7 | `cargo run -p sg-bench --release --bin fig7` | web-server throughput, 4 systems ± faults |
 //! | Ablations | `cargo run -p sg-bench --release --bin ablations` | design-choice deltas (DESIGN.md §5) |
 
+pub mod cli;
 pub mod modelck;
 pub mod stat;
 
@@ -439,34 +440,6 @@ impl Rig {
 /// The six services in the paper's presentation order.
 pub const SERVICES: [&str; 6] = ["sched", "mm", "fs", "lock", "evt", "tmr"];
 
-/// Write flight-recorder shards to `path` as the JSON-lines format
-/// `sgtrace` consumes, plus a Chrome `trace_event` rendering at
-/// `path.chrome.json` (load in Perfetto / `chrome://tracing`). Both are
-/// streamed to disk event by event, never held whole in memory.
-///
-/// # Errors
-///
-/// The first error creating or writing either file; an error on the
-/// Chrome file names that file.
-pub fn write_trace(path: &str, shards: &[composite::TraceShard]) -> std::io::Result<()> {
-    use std::io::{BufWriter, Write as _};
-    type Out = BufWriter<std::fs::File>;
-    fn stream(
-        path: &str,
-        render: impl FnOnce(&mut Out) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        let mut out = BufWriter::new(std::fs::File::create(path)?);
-        render(&mut out)?;
-        out.flush()
-    }
-    stream(path, |w| composite::write_jsonl(shards, w))?;
-    let chrome = format!("{path}.chrome.json");
-    stream(&chrome, |w| composite::write_chrome(shards, w))
-        .map_err(|e| std::io::Error::new(e.kind(), format!("{chrome}: {e}")))?;
-    println!("trace written to {path} (+ {chrome} for Perfetto)");
-    Ok(())
-}
-
 /// The toolchain identifier recorded in `--bench-json` dumps.
 #[must_use]
 pub fn rustc_version() -> String {
@@ -494,16 +467,6 @@ pub fn series_to_jsonl(
         out.push_str(&snapshot.to_json_lines(context));
     }
     out
-}
-
-/// Write windowed-telemetry sections to `path` via [`series_to_jsonl`].
-///
-/// # Panics
-///
-/// Panics when the file cannot be written.
-pub fn write_series(path: &str, window_ns: u64, sections: &[(String, &composite::SeriesSnapshot)]) {
-    std::fs::write(path, series_to_jsonl(window_ns, sections)).expect("write series");
-    println!("series written to {path}");
 }
 
 #[cfg(test)]

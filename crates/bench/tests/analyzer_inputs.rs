@@ -80,3 +80,42 @@ fn deeply_nested_input_is_a_parse_error_not_a_crash() {
         assert_fails_with(&out, "nesting deeper than 128 levels");
     }
 }
+
+/// A wrong invocation is a usage error (exit 2, usage on stderr), so it
+/// never looks like a failed check (exit 1).
+#[test]
+fn malformed_invocations_exit_2_with_usage() {
+    let trace = input("usage_trace.jsonl", HEADER_ONLY);
+    let trace = trace.to_str().unwrap();
+    let cases: [(&str, &[&str]); 10] = [
+        (env!("CARGO_BIN_EXE_sgtrace"), &[]),
+        (env!("CARGO_BIN_EXE_sgtrace"), &["frobnicate", trace]),
+        (env!("CARGO_BIN_EXE_sgtrace"), &["verify"]),
+        (env!("CARGO_BIN_EXE_sgtrace"), &["diff", trace]),
+        (
+            env!("CARGO_BIN_EXE_sgtrace"),
+            &["replay", trace, "--to", "x"],
+        ),
+        (env!("CARGO_BIN_EXE_sgstat"), &[]),
+        (env!("CARGO_BIN_EXE_sgstat"), &["avail", trace, "extra"]),
+        (env!("CARGO_BIN_EXE_sgstat"), &["critpath", trace, "--flat"]),
+        (
+            env!("CARGO_BIN_EXE_sgstat"),
+            &["slo", trace, "--min-availability", "1.5"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_sgstat"),
+            &["slo", trace, "--max-p99-ns", "-1"],
+        ),
+    ];
+    for (bin, args) in cases {
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .output()
+            .expect("run analyzer");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?}");
+    }
+}
