@@ -5,7 +5,9 @@
 //! The golden nested-episode fixture
 //! (`tests/golden/nested_episode.jsonl`) pins one fixed-seed correlated
 //! recovery byte-for-byte; regenerate an intentional change with
-//! `UPDATE_GOLDEN=1 cargo test -p sg-bench --test correlated`.
+//! `UPDATE_GOLDEN=1 cargo test -p sg-bench --test correlated`, which
+//! also rewrites the correlated campaign's `--metrics` golden
+//! (`tests/golden/table2_correlated_metrics.jsonl`).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -15,7 +17,7 @@ use composite::{
     KernelAccess as _, Priority, Service, ServiceCtx, ServiceError, SimTime, TraceEventKind,
     TraceShard, Value, MAX_EPISODE_DEPTH,
 };
-use sg_bench::rig;
+use sg_bench::{rig, SERVICES};
 use sg_swifi::{
     run_shard, try_run_campaign_parallel, CampaignConfig, CampaignMode, CampaignResult, ConfigError,
 };
@@ -296,19 +298,19 @@ fn episode_depth_is_clamped_under_repeated_nested_faults() {
     );
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/nested_episode.jsonl")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name)
 }
 
-#[test]
-fn golden_nested_episode_snapshot() {
-    let (_r, shard) = nested_scenario();
-    let actual = shards_to_jsonl(std::slice::from_ref(&shard));
-
-    let path = golden_path();
+/// Compare `actual` with the committed golden `name`, or rewrite the
+/// golden under `UPDATE_GOLDEN=1`.
+fn check_golden(name: &str, actual: &str, what: &str) {
+    let path = golden_path(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir golden");
-        std::fs::write(&path, &actual).expect("write golden");
+        std::fs::write(&path, actual).expect("write golden");
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -319,8 +321,46 @@ fn golden_nested_episode_snapshot() {
     });
     assert_eq!(
         actual, expected,
-        "fixed-seed nested recovery episode drifted from the golden snapshot; \
+        "fixed-seed {what} drifted from the golden snapshot; \
          if intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+#[test]
+fn golden_nested_episode_snapshot() {
+    let (_r, shard) = nested_scenario();
+    let actual = shards_to_jsonl(std::slice::from_ref(&shard));
+    check_golden("nested_episode.jsonl", &actual, "nested recovery episode");
+}
+
+/// The `--metrics` bytes of `table2 --correlated --injections 40 --seed
+/// 7`, rebuilt in-process: every regime, every service, in the
+/// harness's order and under its context labels. The run exercises the
+/// watchdog, degraded and nested counters, and its cascade rows count
+/// faults on components that were never invoked. The CI correlated
+/// smoke `cmp`s the binary's output against the same file.
+#[test]
+fn golden_correlated_metrics_snapshot() {
+    let modes = [
+        ("burst", CampaignMode::Burst { flips: 3 }),
+        ("during-recovery", CampaignMode::DuringRecovery),
+        ("cascade", CampaignMode::Cascade),
+    ];
+    let mut actual = String::new();
+    for (name, mode) in modes {
+        for iface in SERVICES {
+            let cfg = correlated_cfg(mode, 40, 7);
+            let r = try_run_campaign_parallel(iface, &cfg, 2).unwrap();
+            actual.push_str(
+                &r.metrics
+                    .to_json_lines(&format!("table2b/{name}/{iface}/superglue")),
+            );
+        }
+    }
+    check_golden(
+        "table2_correlated_metrics.jsonl",
+        &actual,
+        "correlated campaign metrics",
     );
 }
 
