@@ -36,221 +36,9 @@ use std::process::ExitCode;
 use composite::{step, Json, KernelWalk, Model as _, ThreadState};
 use sg_bench::cli::{help, usage_error};
 use sg_bench::modelck::event_from_json;
+use sg_bench::stat::{comp_name, episodes_of, parse_trace, us, Episode, Ev, Shard};
 use superglue_compiler::CompiledStubSpec;
 use superglue_sm::{FnId, State};
-
-// ---------------------------------------------------------------------
-// Parsed trace model
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Default)]
-struct Shard {
-    label: String,
-    names: Vec<String>,
-    dropped: u64,
-    /// Recovery-class events lost to ring overflow; when zero, latency
-    /// attribution is complete even if ambient `dropped > 0`.
-    dropped_recovery: u64,
-    events: Vec<Ev>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Ev {
-    span: u64,
-    parent: Option<u64>,
-    ts: u64,
-    dur: u64,
-    comp: u64,
-    epoch: u64,
-    kind: String,
-    function: Option<String>,
-    mech: Option<String>,
-    n: Option<u64>,
-    desc: Option<i64>,
-    outcome: Option<String>,
-    attributed: Option<u64>,
-    /// Nesting depth of a correlated fault (present only when > 0).
-    depth: Option<u64>,
-    until: Option<u64>,
-}
-
-impl Ev {
-    fn from_json(j: &Json) -> Result<Ev, String> {
-        Ok(Ev {
-            span: j.get("span").and_then(Json::as_u64).ok_or("missing span")?,
-            parent: j.get("parent").and_then(Json::as_u64),
-            ts: j.get("ts").and_then(Json::as_u64).ok_or("missing ts")?,
-            dur: j.get("dur").and_then(Json::as_u64).unwrap_or(0),
-            comp: j.get("comp").and_then(Json::as_u64).unwrap_or(0),
-            epoch: j.get("epoch").and_then(Json::as_u64).unwrap_or(0),
-            kind: j
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or("missing kind")?
-                .to_owned(),
-            function: j.get("function").and_then(Json::as_str).map(str::to_owned),
-            mech: j.get("mech").and_then(Json::as_str).map(str::to_owned),
-            n: j.get("n").and_then(Json::as_u64),
-            desc: j.get("desc").and_then(Json::as_i64),
-            outcome: j.get("outcome").and_then(Json::as_str).map(str::to_owned),
-            attributed: j.get("attributed").and_then(Json::as_u64),
-            depth: j.get("depth").and_then(Json::as_u64),
-            until: j.get("until").and_then(Json::as_u64),
-        })
-    }
-}
-
-fn parse_trace(path: &str) -> Result<Vec<Shard>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut shards: Vec<Shard> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let j = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        if let Some(label) = j.get("shard").and_then(Json::as_str) {
-            shards.push(Shard {
-                label: label.to_owned(),
-                names: j
-                    .get("names")
-                    .and_then(Json::as_array)
-                    .map(|a| {
-                        a.iter()
-                            .filter_map(Json::as_str)
-                            .map(str::to_owned)
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                dropped: j.get("dropped").and_then(Json::as_u64).unwrap_or(0),
-                dropped_recovery: j
-                    .get("dropped_recovery")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                events: Vec::new(),
-            });
-        } else {
-            let ev = Ev::from_json(&j).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-            shards
-                .last_mut()
-                .ok_or_else(|| format!("{path}:{}: event before any shard header", lineno + 1))?
-                .events
-                .push(ev);
-        }
-    }
-    // A trace without events (empty, or shard headers only) means the
-    // harness recorded nothing; every check over it would pass vacuously.
-    if shards.iter().all(|s| s.events.is_empty()) {
-        return Err(format!(
-            "{path}: no trace events ({} shard header(s)): nothing to check",
-            shards.len()
-        ));
-    }
-    Ok(shards)
-}
-
-fn comp_name(shard: &Shard, comp: u64) -> &str {
-    shard.names.get(comp as usize).map_or("?", String::as_str)
-}
-
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1000.0
-}
-
-// ---------------------------------------------------------------------
-// Episode reconstruction
-// ---------------------------------------------------------------------
-
-/// One reconstructed recovery episode: fault → (reboot + walks + storage
-/// + upcalls) → episode end.
-#[derive(Debug, Clone, Default)]
-struct Episode {
-    component: String,
-    start: u64,
-    end: u64,
-    /// Latency the kernel attributed (from the `episode_end` event).
-    attributed: u64,
-    /// Latency this analyzer independently re-summed from timed spans.
-    resummed: u64,
-    /// Timed-span buckets: label -> (count, total ns).
-    buckets: BTreeMap<String, (u64, u64)>,
-    /// σ-walk replays in order: (descriptor, mechanism, function).
-    walk_steps: Vec<(Option<i64>, String, String)>,
-    /// Mechanism firings inside the episode: mech -> total n.
-    mech_counts: BTreeMap<String, u64>,
-    /// Nesting depth at open time: 0 for a top-level fault, >0 for a
-    /// correlated fault raised while this component's recovery was
-    /// already in flight (a child in the episode tree).
-    depth: usize,
-    closed: bool,
-}
-
-/// The attribution bucket of one timed event.
-fn bucket_of(ev: &Ev) -> String {
-    match ev.kind.as_str() {
-        "reboot" => "reboot".to_owned(),
-        "walk_step" => format!("{}-walk", ev.mech.as_deref().unwrap_or("?")),
-        "mechanism" => ev.mech.clone().unwrap_or_else(|| "?".to_owned()),
-        other => other.to_owned(),
-    }
-}
-
-/// Linear scan mirroring the kernel-side recorder: a `fault` on
-/// component `c` pushes an episode on `c`'s stack (a correlated fault
-/// mid-recovery pushes a *child*), each `episode_end` on `c` pops the
-/// innermost, and timed events on `c` accumulate into the innermost open
-/// episode alone — so attribution conservation holds independently for
-/// every node of the episode tree.
-fn episodes_of(shard: &Shard) -> Vec<Episode> {
-    let mut open: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut eps: Vec<Episode> = Vec::new();
-    for ev in &shard.events {
-        match ev.kind.as_str() {
-            "fault" => {
-                let stack = open.entry(ev.comp).or_default();
-                let idx = eps.len();
-                eps.push(Episode {
-                    component: comp_name(shard, ev.comp).to_owned(),
-                    start: ev.ts,
-                    end: ev.ts,
-                    depth: stack.len(),
-                    ..Episode::default()
-                });
-                stack.push(idx);
-            }
-            "episode_end" => {
-                if let Some(idx) = open.get_mut(&ev.comp).and_then(Vec::pop) {
-                    eps[idx].attributed = ev.attributed.unwrap_or(0);
-                    eps[idx].end = ev.ts;
-                    eps[idx].closed = true;
-                }
-            }
-            _ => {
-                if let Some(&idx) = open.get(&ev.comp).and_then(|s| s.last()) {
-                    let ep = &mut eps[idx];
-                    if ev.dur > 0 {
-                        ep.resummed += ev.dur;
-                        let b = ep.buckets.entry(bucket_of(ev)).or_insert((0, 0));
-                        b.0 += 1;
-                        b.1 += ev.dur;
-                    }
-                    if ev.kind == "walk_step" {
-                        ep.walk_steps.push((
-                            ev.desc,
-                            ev.mech.clone().unwrap_or_default(),
-                            ev.function.clone().unwrap_or_default(),
-                        ));
-                    }
-                    if ev.kind == "mechanism" {
-                        *ep.mech_counts
-                            .entry(ev.mech.clone().unwrap_or_default())
-                            .or_insert(0) += ev.n.unwrap_or(0);
-                    }
-                }
-            }
-        }
-    }
-    eps
-}
 
 fn buckets_line(ep: &Episode) -> String {
     ep.buckets

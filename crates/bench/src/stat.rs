@@ -8,9 +8,11 @@
 //! lets `tests/determinism.rs` assert that `sgstat avail` summaries are
 //! byte-identical for any `--jobs` value.
 //!
-//! * [`parse_trace_text`] / [`episodes_of`] — minimal flight-recorder
-//!   reader mirroring the kernel-side episode stacks (innermost-open
-//!   attribution, so nested episodes never double count).
+//! * [`parse_trace_text`] / [`episodes_of`] — the flight-recorder
+//!   reader `sgstat` and `sgtrace` share, mirroring the kernel-side
+//!   episode stacks (innermost-open attribution, so nested episodes
+//!   never double count). A shard holding fewer or more events than its
+//!   header declares is a truncated trace and an error.
 //! * [`avail_report`] — availability / MTTR / MTBF accounting from
 //!   fault → `episode_end` spans, plus the degraded-time split and a
 //!   conservation audit (re-summed timed spans must equal the recorded
@@ -47,15 +49,22 @@ pub struct Shard {
     pub events: Vec<Ev>,
 }
 
-/// One parsed trace event — only the fields the analytics need.
+/// One parsed trace event: the fields `sgstat`'s analytics and
+/// `sgtrace`'s trees, diffs and walk checks read.
 #[derive(Debug, Clone, Default)]
 pub struct Ev {
+    pub span: u64,
+    pub parent: Option<u64>,
     pub ts: u64,
     pub dur: u64,
     pub comp: u64,
+    pub epoch: u64,
     pub kind: String,
+    pub function: Option<String>,
     pub mech: Option<String>,
     pub n: Option<u64>,
+    pub desc: Option<i64>,
+    pub outcome: Option<String>,
     pub attributed: Option<u64>,
     /// Nesting depth of a correlated fault (present only when > 0).
     pub depth: Option<u64>,
@@ -65,16 +74,22 @@ pub struct Ev {
 impl Ev {
     fn from_json(j: &Json) -> Result<Ev, String> {
         Ok(Ev {
+            span: j.get("span").and_then(Json::as_u64).ok_or("missing span")?,
+            parent: j.get("parent").and_then(Json::as_u64),
             ts: j.get("ts").and_then(Json::as_u64).ok_or("missing ts")?,
             dur: j.get("dur").and_then(Json::as_u64).unwrap_or(0),
             comp: j.get("comp").and_then(Json::as_u64).unwrap_or(0),
+            epoch: j.get("epoch").and_then(Json::as_u64).unwrap_or(0),
             kind: j
                 .get("kind")
                 .and_then(Json::as_str)
                 .ok_or("missing kind")?
                 .to_owned(),
+            function: j.get("function").and_then(Json::as_str).map(str::to_owned),
             mech: j.get("mech").and_then(Json::as_str).map(str::to_owned),
             n: j.get("n").and_then(Json::as_u64),
+            desc: j.get("desc").and_then(Json::as_i64),
+            outcome: j.get("outcome").and_then(Json::as_str).map(str::to_owned),
             attributed: j.get("attributed").and_then(Json::as_u64),
             depth: j.get("depth").and_then(Json::as_u64),
             until: j.get("until").and_then(Json::as_u64),
@@ -83,8 +98,16 @@ impl Ev {
 }
 
 /// Parse a `--trace` JSON-lines dump (possibly many shards) from text.
+///
+/// # Errors
+///
+/// On a line that is not JSON or not a trace record, an event before
+/// any shard header, and a shard whose header declares more or fewer
+/// `events` than follow it: a trace cut off mid-shard would otherwise
+/// pass every check over the part that survived.
 pub fn parse_trace_text(text: &str) -> Result<Vec<Shard>, String> {
     let mut shards: Vec<Shard> = Vec::new();
+    let mut declared: Vec<Option<u64>> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -110,6 +133,7 @@ pub fn parse_trace_text(text: &str) -> Result<Vec<Shard>, String> {
                     .unwrap_or(0),
                 events: Vec::new(),
             });
+            declared.push(j.get("events").and_then(Json::as_u64));
         } else {
             let ev = Ev::from_json(&j).map_err(|e| format!("line {}: {e}", lineno + 1))?;
             shards
@@ -117,6 +141,15 @@ pub fn parse_trace_text(text: &str) -> Result<Vec<Shard>, String> {
                 .ok_or_else(|| format!("line {}: event before any shard header", lineno + 1))?
                 .events
                 .push(ev);
+        }
+    }
+    for (shard, declared) in shards.iter().zip(declared) {
+        if let Some(n) = declared.filter(|&n| n != shard.events.len() as u64) {
+            return Err(format!(
+                "shard {} declares {n} events, found {} (truncated trace)",
+                shard.label,
+                shard.events.len()
+            ));
         }
     }
     Ok(shards)
@@ -141,11 +174,16 @@ pub fn parse_trace(path: &str) -> Result<Vec<Shard>, String> {
     Ok(shards)
 }
 
-fn comp_name(shard: &Shard, comp: u64) -> &str {
+/// The name of component `comp` in `shard`'s name table (`?` when out
+/// of range).
+#[must_use]
+pub fn comp_name(shard: &Shard, comp: u64) -> &str {
     shard.names.get(comp as usize).map_or("?", String::as_str)
 }
 
-fn us(ns: u64) -> f64 {
+/// Nanoseconds as fractional microseconds, for reports.
+#[must_use]
+pub fn us(ns: u64) -> f64 {
     #[allow(clippy::cast_precision_loss)]
     {
         ns as f64 / 1000.0
@@ -156,7 +194,8 @@ fn us(ns: u64) -> f64 {
 // Episode reconstruction
 // ---------------------------------------------------------------------
 
-/// One reconstructed recovery episode (fault → `episode_end`).
+/// One reconstructed recovery episode: fault → (reboot + walks +
+/// storage + upcalls) → `episode_end`.
 #[derive(Debug, Clone, Default)]
 pub struct Episode {
     pub component: String,
@@ -168,8 +207,13 @@ pub struct Episode {
     pub resummed: u64,
     /// Timed-span buckets: label -> (count, total ns).
     pub buckets: BTreeMap<String, (u64, u64)>,
+    /// σ-walk replays in order: (descriptor, mechanism, function).
+    pub walk_steps: Vec<(Option<i64>, String, String)>,
+    /// Mechanism firings inside the episode: mech -> total n.
+    pub mech_counts: BTreeMap<String, u64>,
     /// 0 for a top-level fault, >0 for a correlated fault raised while
-    /// this component's recovery was already in flight.
+    /// this component's recovery was already in flight (a child in the
+    /// episode tree).
     pub depth: usize,
     pub closed: bool,
 }
@@ -185,10 +229,12 @@ fn bucket_of(ev: &Ev) -> String {
 }
 
 /// Linear scan mirroring the kernel-side recorder: a `fault` on
-/// component `c` pushes an episode on `c`'s stack, each `episode_end`
-/// pops the innermost, and timed events accumulate into the innermost
-/// open episode alone — so durations are never double counted between a
-/// parent episode and its nested children.
+/// component `c` pushes an episode on `c`'s stack (a correlated fault
+/// mid-recovery pushes a *child*), each `episode_end` on `c` pops the
+/// innermost, and timed events on `c` accumulate into the innermost
+/// open episode alone — so durations are never double counted between
+/// a parent episode and its nested children, and attribution
+/// conservation holds independently for every node of the episode tree.
 pub fn episodes_of(shard: &Shard) -> Vec<Episode> {
     let mut open: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     let mut eps: Vec<Episode> = Vec::new();
@@ -221,6 +267,18 @@ pub fn episodes_of(shard: &Shard) -> Vec<Episode> {
                         let b = ep.buckets.entry(bucket_of(ev)).or_insert((0, 0));
                         b.0 += 1;
                         b.1 += ev.dur;
+                    }
+                    if ev.kind == "walk_step" {
+                        ep.walk_steps.push((
+                            ev.desc,
+                            ev.mech.clone().unwrap_or_default(),
+                            ev.function.clone().unwrap_or_default(),
+                        ));
+                    }
+                    if ev.kind == "mechanism" {
+                        *ep.mech_counts
+                            .entry(ev.mech.clone().unwrap_or_default())
+                            .or_insert(0) += ev.n.unwrap_or(0);
                     }
                 }
             }

@@ -3,8 +3,9 @@
 //! `sgtrace` and `sgstat` read JSON-lines dumps that CI steps produce. A
 //! broken harness can leave a trace that holds shard headers but no
 //! events; a vacuous "all walks conform" or "conservation: OK" would
-//! hide it. A hostile or corrupt line of deeply nested brackets must be
-//! a parse error, not a stack overflow. Either way the analyzers exit 1
+//! hide it. So would a trace cut off mid-shard. A hostile or corrupt
+//! line of deeply nested brackets must be a parse error, not a stack
+//! overflow. Either way the analyzers exit 1
 //! with a message on stderr.
 
 use std::path::PathBuf;
@@ -67,6 +68,39 @@ fn sgstat_avail_rejects_a_trace_without_events() {
     let empty = input("sgstat_empty.jsonl", "");
     let out = run(env!("CARGO_BIN_EXE_sgstat"), "avail", &empty);
     assert_fails_with(&out, "no trace events");
+}
+
+/// A trace cut off mid-shard (here the golden flight-recorder episode
+/// cut to its first 20 lines, mid-episode, under a header declaring 27
+/// events) must fail on its event count, not pass the checks over what
+/// survived or fail on a misleading conservation mismatch.
+#[test]
+fn every_trace_subcommand_rejects_a_truncated_trace() {
+    let golden = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/flight_recorder_episode.jsonl"),
+    )
+    .expect("read golden trace");
+    let cut: String = golden.lines().take(20).map(|l| format!("{l}\n")).collect();
+    let truncated = input("truncated.jsonl", &cut);
+    let message = "shard golden/evt/superglue declares 27 events, found 19 (truncated trace)";
+    for (bin, subcommand) in [
+        (env!("CARGO_BIN_EXE_sgtrace"), "timeline"),
+        (env!("CARGO_BIN_EXE_sgtrace"), "tree"),
+        (env!("CARGO_BIN_EXE_sgtrace"), "verify"),
+        (env!("CARGO_BIN_EXE_sgstat"), "avail"),
+        (env!("CARGO_BIN_EXE_sgstat"), "critpath"),
+        (env!("CARGO_BIN_EXE_sgstat"), "slo"),
+    ] {
+        let out = run(bin, subcommand, &truncated);
+        assert_fails_with(&out, message);
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sgtrace"))
+        .arg("diff")
+        .args([&truncated, &truncated])
+        .output()
+        .expect("run analyzer");
+    assert_fails_with(&out, message);
 }
 
 #[test]
