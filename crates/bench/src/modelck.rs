@@ -19,7 +19,8 @@
 //!    recovery rebuilt what it had to and leaked nothing.
 //! 4. **σ-table/trace-counter agreement** — mechanism counts summed
 //!    from the drained flight-recorder shard equal the
-//!    [`MetricsRegistry`](composite::MetricsRegistry) totals.
+//!    per-component mechanism totals of a
+//!    [`MetricsSnapshot`](composite::MetricsSnapshot).
 //! 5. **Episode-latency conservation** — re-summing the timed spans of
 //!    every closed recovery episode reproduces its attributed latency
 //!    exactly (the same check `sgtrace timeline` performs offline).
@@ -222,9 +223,7 @@ impl SystemWalk {
             if metric != traced {
                 out.push(Violation {
                     invariant: "state-effect-agreement",
-                    detail: format!(
-                        "{m:?}: metrics registry counted {metric}, trace recorded {traced}"
-                    ),
+                    detail: format!("{m:?}: metrics counted {metric}, trace recorded {traced}"),
                 });
             }
         }

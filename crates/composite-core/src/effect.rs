@@ -14,9 +14,11 @@ use crate::ids::{ComponentId, Epoch, ThreadId};
 use crate::mechanism::Mechanism;
 use crate::time::SimTime;
 
-/// One deferred runtime action. Counter effects map 1:1 onto
-/// `KernelStats` bumps; the remaining variants carry everything the
-/// flight recorder needs to emit its events in the established order.
+/// One deferred runtime action. Each per-component counter effect maps
+/// 1:1 onto one field of the shell's per-component counter row
+/// (`composite::MetricsRow`, kept by `composite::stats::Counters`); the
+/// remaining variants carry everything the flight recorder needs to
+/// emit its events in the established order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
     /// Count a successful invocation of the component.

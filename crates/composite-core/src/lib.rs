@@ -8,7 +8,7 @@
 //! ```
 //!
 //! with **no interior mutability and no I/O** — no trace ring, no
-//! metrics registry, no clocks, no randomness beyond the caller-seeded
+//! counters, no clocks, no randomness beyond the caller-seeded
 //! [`rng::SplitMix64`]. The `composite` crate wraps this core in a thin
 //! runtime shell (`composite::kernel::Kernel`) that owns the flight
 //! recorder, metrics, and service objects and merely drives `step` and

@@ -11,7 +11,7 @@
 //!
 //! What is deliberately *not* here: service objects (the runtime shell
 //! owns `Box<dyn Service>` images), component names (interned in the
-//! shell), the flight recorder, and the metrics registry. The core
+//! shell), the flight recorder, and the per-component counters. The core
 //! reports what those runtime facilities should record as
 //! [`Effect`](crate::effect::Effect) data.
 

@@ -1,11 +1,12 @@
 //! The kernel flight recorder: a bounded ring buffer of structured,
 //! causally linked trace events.
 //!
-//! PR 1's `MetricsRegistry` answers *how often* each of the paper's
-//! eight recovery mechanisms fired; this module answers *what happened*:
-//! which fault triggered which micro-reboot, which σ-walk replays it
-//! caused, in what order D1/T0/U0 fired, and where the simulated
-//! nanoseconds went. Every [`TraceEvent`] is stamped with the virtual
+//! The kernel's per-component counters
+//! ([`Counters`](crate::stats::Counters)) answer *how often* each of
+//! the paper's recovery mechanisms fired; this module answers *what
+//! happened*: which fault triggered which micro-reboot, which σ-walk
+//! replays it caused, in what order D1/T0/U0 fired, and where the
+//! simulated nanoseconds went. Every [`TraceEvent`] is stamped with the virtual
 //! [`SimTime`], the driving thread, the component it concerns, that
 //! component's micro-reboot [`Epoch`], a monotonically assigned span id
 //! and a *causal parent* span id — so a whole recovery episode forms a
@@ -120,9 +121,9 @@ pub enum TraceEventKind<F = String> {
     /// reboot cost plus the post-reboot initialization upcall.
     Reboot,
     /// `n` firings of recovery mechanism `mech` (the same increment the
-    /// [`MetricsRegistry`](crate::metrics::MetricsRegistry) counted —
-    /// both are written by the single `Kernel::record_mechanism` choke
-    /// point, so counters and trace can never disagree).
+    /// [`Counters`](crate::stats::Counters) counted — both are written
+    /// by the single `Kernel::record_mechanism` choke point, so counters
+    /// and trace can never disagree).
     MechanismFired { mech: Mechanism, n: u64 },
     /// One σ-walk function replay (`function`) rebuilding descriptor
     /// `desc` (`None` for the hand-written C³ stubs, which do not expose

@@ -4,7 +4,7 @@
 //!
 //! 1. **Counters == trace.** Every mechanism firing goes through the
 //!    single `Kernel::record_mechanism` choke point, which increments
-//!    the `MetricsRegistry` *and* emits the matching trace event — so
+//!    the component's counters *and* emits the matching trace event — so
 //!    for every mechanism, the counter total and the sum of traced `n`
 //!    values must agree exactly.
 //! 2. **Latency conservation.** For every recovery episode, the timed
