@@ -5,10 +5,10 @@
 //! (`--jobs N`, default: available parallelism); their reports print in
 //! ablation order regardless of the job count.
 //!
-//! `--trace PATH` records a flight-recorder trace of the ablation
-//! kernels (the recovery-policy and G1 ablations; the tracker ablation
-//! has no kernel) as JSON-lines at PATH plus a Chrome trace_event
-//! rendering at PATH.chrome.json.
+//! `--trace PATH` records a flight-recorder trace of the recovery-policy
+//! and G1 ablations' kernels (the tracking ablation captures none) as
+//! JSON-lines at PATH plus a Chrome trace_event rendering at
+//! PATH.chrome.json.
 //!
 //! `--series PATH` dumps windowed recovery telemetry of the same
 //! kernels as JSON-lines for `sgstat series` (`--series-window NS`
@@ -24,9 +24,6 @@ use composite::{
 use sg_bench::cli::{Cli, Outputs};
 use sg_c3::RecoveryPolicy;
 use superglue::testbed::{Testbed, Variant};
-use superglue_sm::machine::StateMachineBuilder;
-use superglue_sm::tracking::{DescId, DescriptorTracker, OperationLog};
-use superglue_sm::{DescriptorResourceModel, State};
 
 const USAGE: &str =
     "usage: ablations [--jobs N] [--trace PATH] [--series PATH] [--series-window NS]";
@@ -95,10 +92,11 @@ fn ablation_policy(opts: &Outputs) -> AblationOutput {
             ));
         }
         if opts.tracing() {
-            let mut shard = TraceShard::labeled(&format!("ablations/policy/{policy:?}"));
-            let label = shard.label.clone();
-            shard.absorb(tb.runtime.kernel_mut().take_trace(&label));
-            shards.push(shard);
+            shards.push(
+                tb.runtime
+                    .kernel_mut()
+                    .take_trace(&format!("ablations/policy/{policy:?}")),
+            );
         }
     }
     let _ = writeln!(
@@ -110,60 +108,57 @@ fn ablation_policy(opts: &Outputs) -> AblationOutput {
 }
 
 /// Ablation 2+3: bounded state-machine tracking vs the operation log
-/// §II-C rejects, and shortest-walk vs full-history replay.
+/// §II-C rejects, and shortest-walk vs full-history replay, both
+/// measured on the SuperGlue stub of the lock interface.
 fn ablation_tracker(_opts: &Outputs) -> AblationOutput {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "\n== Ablation 2: state-machine tracker vs operation log =="
+        "\n== Ablation 2: state-machine tracking vs operation log =="
     );
-    let mut b = StateMachineBuilder::new("lock");
-    let alloc = b.function("lock_alloc");
-    let take = b.function("lock_take");
-    let release = b.function("lock_release");
-    b.creation(alloc);
-    b.transition(alloc, take);
-    b.transition(take, release);
-    b.transition(release, take);
-    let sm = b.build().expect("machine builds");
-
     const OPS: usize = 100_000;
-    let mut tracker = DescriptorTracker::new(DescriptorResourceModel::new());
-    let mut log = OperationLog::new();
-    tracker.create(DescId(1), alloc, 1, None).expect("create");
-    log.record(DescId(1), alloc, vec![]);
+    let mut tb = Testbed::build(Variant::SuperGlue).expect("testbed builds");
+    let t = tb.spawn_thread(tb.ids.app1, Priority(5));
+    let (app, lock) = (tb.ids.app1, tb.ids.lock);
+    let id = tb
+        .runtime
+        .interface_call(app, t, lock, "lock_alloc", &[Value::Int(1)])
+        .expect("alloc")
+        .int()
+        .expect("id");
+    let args = [Value::Int(1), Value::Int(id)];
     for i in 0..OPS {
-        let f = if i % 2 == 0 { take } else { release };
-        tracker
-            .on_call(&sm, DescId(1), f)
+        let f = ["lock_take", "lock_release"][i % 2];
+        tb.runtime
+            .interface_call(app, t, lock, f, &args)
             .expect("valid transition");
-        log.record(DescId(1), f, vec![]);
     }
+    // An operation log keeps one entry per call: the alloc plus OPS.
+    let logged = OPS + 1;
+    let tracked = tb.runtime.stub(app, lock).expect("stub").tracked_count();
     let _ = writeln!(
         out,
-        "  after {OPS} operations on one descriptor:\n\
-         \x20   state-machine tracker footprint: {:>10} bytes (bounded)\n\
-         \x20   operation-log footprint:         {:>10} bytes (unbounded growth)",
-        tracker.footprint(),
-        log.footprint()
+        "  after {OPS} lock_take/lock_release calls on one lock (SuperGlue stub):\n\
+         \x20   descriptors the stub tracks:          {tracked:>7} (bounded by live descriptors)\n\
+         \x20   entries an operation log would hold:  {logged:>7} (grows with every call)"
     );
 
     let _ = writeln!(
         out,
         "\n== Ablation 3: shortest recovery walk vs full-history replay =="
     );
-    let expected = tracker.get(DescId(1)).expect("tracked").state;
-    let walk = sm.recovery_walk(expected).expect("reachable");
+    let before = tb.runtime.stats().walk_steps_replayed;
+    tb.runtime.inject_fault(lock);
+    tb.runtime
+        .interface_call(app, t, lock, "lock_take", &args)
+        .expect("take after fault");
+    let replayed = tb.runtime.stats().walk_steps_replayed - before;
     let _ = writeln!(
         out,
-        "  expected state {:?}: shortest walk replays {} calls; a log replay\n\
-         \x20 would re-execute {} calls ({}x more recovery work)",
-        expected,
-        walk.len(),
-        log.replay_for(DescId(1)).len(),
-        log.replay_for(DescId(1)).len() / walk.len().max(1)
+        "  fault in lock, then one lock_take: walk_steps_replayed +{replayed} (shortest walk);\n\
+         \x20 a log replay would re-execute {logged} calls ({}x more recovery work)",
+        logged / replayed.max(1) as usize
     );
-    let _ = State::Init;
     (out, Vec::new(), Vec::new())
 }
 
@@ -246,13 +241,10 @@ fn ablation_g1(opts: &Outputs) -> AblationOutput {
             ));
         }
         if opts.tracing() {
-            let mut shard = TraceShard::labeled(&format!(
+            shards.push(k.take_trace(&format!(
                 "ablations/g1/{}",
                 if persist { "on" } else { "off" }
-            ));
-            let label = shard.label.clone();
-            shard.absorb(k.take_trace(&label));
-            shards.push(shard);
+            )));
         }
         let _ = writeln!(
             out,

@@ -148,7 +148,6 @@ fn traced_recovery_capture(
         // fully tracked ones.
         "superglue"
     };
-    let mut shard = TraceShard::labeled(&format!("fig6b/{iface}/{vname}"));
     let mut r: Rig = rig_elided(variant, elide);
     r.tb.runtime
         .kernel_mut()
@@ -164,8 +163,10 @@ fn traced_recovery_capture(
         .interface_call(client, thread, svc, fname, &args)
         .expect("recovery succeeds");
     let series = SeriesSnapshot::from_kernel(r.tb.runtime.kernel());
-    let label = shard.label.clone();
-    shard.absorb(r.tb.runtime.kernel_mut().take_trace(&label));
+    let shard =
+        r.tb.runtime
+            .kernel_mut()
+            .take_trace(&format!("fig6b/{iface}/{vname}"));
     (shard, series)
 }
 

@@ -34,7 +34,7 @@
 use composite::{
     default_jobs, parallel_map_indexed, Json, MetricsSnapshot, SeriesSnapshot, SimTime,
 };
-use sg_bench::cli::{Cli, Outputs};
+use sg_bench::cli::{exit_error, Cli, Outputs};
 use sg_bench::rustc_version;
 use sg_webserver::{run_fig7_rep, Fig7Config, Fig7Result, WebVariant};
 
@@ -90,6 +90,21 @@ fn merge_reps(reps: &[Fig7Result]) -> Row {
         per_second: reps[0].series.buckets().to_vec(),
         metrics,
         telemetry,
+    }
+}
+
+/// The run's invariant: every injected fault was recovered.
+fn check_rows(rows: &[Row]) -> Result<(), String> {
+    match rows
+        .iter()
+        .find(|r| r.faults_injected > 0 && r.unrecovered > 0)
+    {
+        Some(r) => Err(format!(
+            "{}: {} unrecovered call(s) after {} injected fault(s); \
+             every injected fault must be recovered",
+            r.variant, r.unrecovered, r.faults_injected
+        )),
+        None => Ok(()),
     }
 }
 
@@ -168,9 +183,9 @@ fn main() {
         );
         if r.faults_injected > 0 {
             println!("  per-second: {}", sparkline(&r.per_second));
-            assert_eq!(r.unrecovered, 0, "every injected fault must be recovered");
         }
     }
+    check_rows(&rows).unwrap_or_else(|e| exit_error(e));
 
     println!();
     println!("paper: Apache ~17600 req/s, COMPOSITE ~16200, C3 -10.5%, SuperGlue -11.84%");
@@ -240,4 +255,30 @@ fn row_json(r: &Row, slowdown_pct: f64) -> Json {
         .push("unrecovered", r.unrecovered)
         .push("slowdown_vs_base_pct", slowdown_pct);
     j
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(faults_injected: u64, unrecovered: u64) -> Row {
+        Row {
+            variant: WebVariant::SuperGlue { faults: true },
+            mean_rps: 0.0,
+            stdev_rps: 0.0,
+            total_requests: 0,
+            faults_injected,
+            unrecovered,
+            per_second: Vec::new(),
+            metrics: MetricsSnapshot::default(),
+            telemetry: SeriesSnapshot::default(),
+        }
+    }
+
+    #[test]
+    fn an_unrecovered_fault_fails_the_run() {
+        assert_eq!(check_rows(&[row(2, 0)]), Ok(()));
+        let err = check_rows(&[row(2, 0), row(2, 1)]).unwrap_err();
+        assert!(err.contains("1 unrecovered call(s)"), "{err}");
+    }
 }

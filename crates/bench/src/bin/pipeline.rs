@@ -33,12 +33,14 @@
 use composite::{
     default_jobs, parallel_map_indexed, Json, MetricsSnapshot, SeriesSnapshot, SimTime,
 };
-use sg_bench::cli::{Cli, Outputs};
+use sg_bench::cli::{exit_error, Cli, Outputs};
 use sg_bench::rustc_version;
 use sg_pipeline::{
     expected_output, run_pipeline_rep, PipelineConfig, PipelineResult, PipelineVariant,
 };
-use sg_swifi::{run_pipeline_campaign_parallel, CampaignRow, PipelineCampaignConfig};
+use sg_swifi::{
+    run_pipeline_campaign_parallel, CampaignRow, PipelineCampaignConfig, PipelineCampaignResult,
+};
 
 const USAGE: &str = "\
 usage: pipeline [--messages N] [--work-us N] [--poison-every N] [--poison-limit K]
@@ -97,6 +99,48 @@ fn merge_reps(cfg: &PipelineConfig, reps: &[PipelineResult]) -> Row {
         metrics,
         telemetry,
     }
+}
+
+/// The run's invariants: every SuperGlue row recovered every fault and
+/// committed exactly the fault-free output, every channel-layer
+/// injection recovered, and dead-letter routing capped the reboots.
+fn check_invariants(rows: &[Row], camp: &PipelineCampaignResult) -> Result<(), String> {
+    for r in rows {
+        if !matches!(r.variant, PipelineVariant::SuperGlue { .. }) {
+            continue;
+        }
+        if r.unrecovered != 0 {
+            return Err(format!(
+                "{}: {} unrecovered call(s); every injected fault must be recovered",
+                r.variant, r.unrecovered
+            ));
+        }
+        if !r.exact {
+            return Err(format!(
+                "{}: exactly-once violated: committed output differs from the \
+                 fault-free oracle",
+                r.variant
+            ));
+        }
+    }
+    for row in camp.phases.iter().chain([&camp.showstopper.row]) {
+        if row.recovered != row.injected {
+            return Err(format!(
+                "{}: {} of {} injections recovered; every channel-layer injection \
+                 must recover exactly-once",
+                row.component, row.recovered, row.injected
+            ));
+        }
+    }
+    let s = &camp.showstopper;
+    if s.reboots != s.reboot_cap {
+        return Err(format!(
+            "showstoppers: {} reboots, cap {}; dead-letter routing must cap the \
+             reboot count",
+            s.reboots, s.reboot_cap
+        ));
+    }
+    Ok(())
 }
 
 fn main() {
@@ -179,13 +223,6 @@ fn main() {
             r.mean_mps,
             if r.exact { "yes" } else { "NO" },
         );
-        if matches!(r.variant, PipelineVariant::SuperGlue { .. }) {
-            assert_eq!(r.unrecovered, 0, "every injected fault must be recovered");
-            assert!(
-                r.exact,
-                "exactly-once: committed output must equal the fault-free oracle"
-            );
-        }
     }
 
     println!();
@@ -197,17 +234,9 @@ fn main() {
     println!("{}", CampaignRow::table_header());
     for row in camp.phases.iter().chain([&camp.showstopper.row]) {
         println!("{}", row.table_line());
-        assert_eq!(
-            row.recovered, row.injected,
-            "{}: every channel-layer injection must recover exactly-once",
-            row.component
-        );
     }
     println!("{}", camp.showstopper.summary_line());
-    assert_eq!(
-        camp.showstopper.reboots, camp.showstopper.reboot_cap,
-        "dead-letter routing must cap the reboot count"
-    );
+    check_invariants(&rows, &camp).unwrap_or_else(|e| exit_error(e));
 
     out.json(|| {
         rows.iter()
@@ -293,5 +322,50 @@ fn variant_label(v: PipelineVariant) -> String {
     match v {
         PipelineVariant::Bare { faults } => format!("pipeline/composite/faults={faults}"),
         PipelineVariant::SuperGlue { faults } => format!("pipeline/superglue/faults={faults}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(unrecovered: u64, exact: bool) -> Row {
+        Row {
+            variant: PipelineVariant::SuperGlue { faults: true },
+            delivered: 0,
+            expected: 0,
+            dead_letters: 0,
+            cursor_restores: 0,
+            faults_injected: 1,
+            unrecovered,
+            exact,
+            mean_mps: 0.0,
+            metrics: MetricsSnapshot::default(),
+            telemetry: SeriesSnapshot::default(),
+        }
+    }
+
+    #[test]
+    fn a_violated_invariant_fails_the_run() {
+        let camp = PipelineCampaignResult::default();
+        assert_eq!(check_invariants(&[row(0, true)], &camp), Ok(()));
+        let err = check_invariants(&[row(1, true)], &camp).unwrap_err();
+        assert!(err.contains("1 unrecovered call(s)"), "{err}");
+        let err = check_invariants(&[row(0, false)], &camp).unwrap_err();
+        assert!(err.contains("exactly-once violated"), "{err}");
+
+        let mut lost = camp.clone();
+        lost.phases.push(CampaignRow {
+            injected: 2,
+            recovered: 1,
+            ..CampaignRow::new("Peek")
+        });
+        let err = check_invariants(&[row(0, true)], &lost).unwrap_err();
+        assert!(err.contains("1 of 2 injections recovered"), "{err}");
+
+        let mut uncapped = camp;
+        uncapped.showstopper.reboots = 1;
+        let err = check_invariants(&[row(0, true)], &uncapped).unwrap_err();
+        assert!(err.contains("must cap the"), "{err}");
     }
 }

@@ -20,7 +20,9 @@
 //!   `sm_recover_via`, `sm_recover_block` substitutions at blocking
 //!   steps, and the `*_restore` creation substitution for global
 //!   descriptors) — the dynamic counterpart of `sglint`'s static
-//!   conformance checks (exit 1 on any unexplained walk).
+//!   conformance checks (exit 1 on any unexplained walk, and on a trace
+//!   that holds no per-descriptor replay sequence: a check of nothing
+//!   is not a pass).
 //! * `sgtrace replay ARTIFACT [--to SPAN]` — time travel through a
 //!   `modelcheck` core counterexample: replays the recorded event
 //!   sequence through the pure kernel transition function
@@ -519,6 +521,11 @@ fn cmd_verify(path: &str) -> Result<ExitCode, String> {
          ({skipped_untagged} untagged C3 steps and {skipped_foreign} foreign-interface \
          groups skipped)"
     );
+    if checked == 0 {
+        return Err(format!(
+            "{path}: no per-descriptor replay sequence to check"
+        ));
+    }
     if violations == 0 {
         println!("all observed recovery walks conform to the IDL replay plans");
         Ok(ExitCode::SUCCESS)

@@ -33,10 +33,16 @@ pub fn help(usage: &str) -> ! {
     process::exit(0)
 }
 
+/// Print `error: {message}` on stderr, then exit 1: a failed check or
+/// an I/O error.
+pub fn exit_error(message: impl Display) -> ! {
+    eprintln!("error: {message}");
+    process::exit(1)
+}
+
 /// Print `error: cannot write {path}: {err}` on stderr, then exit 1.
 pub fn write_failed(path: &str, err: impl Display) -> ! {
-    eprintln!("error: cannot write {path}: {err}");
-    process::exit(1)
+    exit_error(format_args!("cannot write {path}: {err}"))
 }
 
 /// A cursor over a binary's arguments. Every malformed argument ends in

@@ -125,10 +125,6 @@ impl SystemWalk {
         self.baseline_tracked = self.rig.tb.total_tracked();
     }
 
-    fn service_of(&self, iface: usize) -> ComponentId {
-        self.rig.component_of(SERVICES[iface])
-    }
-
     /// The worker threads whose runnability invariant 1 asserts.
     fn workers(&self) -> [ThreadId; 2] {
         [self.rig.thread, self.rig.thread2]
@@ -254,60 +250,58 @@ impl Model for SystemWalk {
     }
 
     fn apply(&mut self, op: &SysOp) -> Result<(), Violation> {
-        match *op {
-            SysOp::Iteration { iface, seq } => {
-                let svc = self.service_of(iface);
-                let k = self.rig.tb.runtime.kernel();
-                if k.is_degraded(svc) {
-                    // Degraded fail-fast window: the workload cannot run;
-                    // assert the rejection is what clients actually see.
-                    let app = self.rig.tb.ids.app1;
-                    let t = self.rig.thread;
-                    let compid = composite::Value::from(app.0);
-                    let err = composite::InterfaceCall::interface_call(
-                        &mut self.rig.tb.runtime,
-                        app,
-                        t,
-                        svc,
-                        probe_fn(iface),
-                        &[compid],
-                    );
-                    if !matches!(err, Err(composite::CallError::Degraded { .. })) {
-                        return Err(Violation {
-                            invariant: "state-effect-agreement",
-                            detail: format!(
-                                "{} is degraded but a call returned {err:?}",
-                                SERVICES[iface]
-                            ),
-                        });
-                    }
-                } else {
-                    self.rig.run_iteration(SERVICES[iface], seq);
-                }
-            }
-            SysOp::Fault { iface } => {
-                let svc = self.service_of(iface);
-                self.rig.tb.runtime.inject_fault(svc);
-            }
-            SysOp::ArmNestedFault { iface } => {
-                let svc = self.service_of(iface);
-                self.rig
-                    .tb
-                    .runtime
-                    .kernel_mut()
-                    .arm_fault_during_recovery(svc);
-            }
-            SysOp::Advance { dt } => {
-                let now = self.rig.tb.runtime.kernel().now();
-                self.rig
-                    .tb
-                    .runtime
-                    .kernel_mut()
-                    .advance_to(now + SimTime(dt));
-            }
-        }
+        apply_sysop(&mut self.rig, op).map_err(|detail| Violation {
+            invariant: "state-effect-agreement",
+            detail,
+        })?;
         self.check_step_invariants()
     }
+}
+
+/// Apply one operation to a rig: the single [`SysOp`] interpreter of
+/// [`SystemWalk`] and [`ElideDiffWalk`]. An iteration against a
+/// degraded service runs no workload; it checks that a probe call is
+/// rejected as degraded, which is what clients actually see.
+fn apply_sysop(r: &mut Rig, op: &SysOp) -> Result<(), String> {
+    match *op {
+        SysOp::Iteration { iface, seq } => {
+            let svc = r.component_of(SERVICES[iface]);
+            if r.tb.runtime.kernel().is_degraded(svc) {
+                let app = r.tb.ids.app1;
+                let t = r.thread;
+                let compid = composite::Value::from(app.0);
+                let err = composite::InterfaceCall::interface_call(
+                    &mut r.tb.runtime,
+                    app,
+                    t,
+                    svc,
+                    probe_fn(iface),
+                    &[compid],
+                );
+                if !matches!(err, Err(composite::CallError::Degraded { .. })) {
+                    return Err(format!(
+                        "{} is degraded but a call returned {err:?}",
+                        SERVICES[iface]
+                    ));
+                }
+            } else {
+                r.run_iteration(SERVICES[iface], seq);
+            }
+        }
+        SysOp::Fault { iface } => {
+            let svc = r.component_of(SERVICES[iface]);
+            r.tb.runtime.inject_fault(svc);
+        }
+        SysOp::ArmNestedFault { iface } => {
+            let svc = r.component_of(SERVICES[iface]);
+            r.tb.runtime.kernel_mut().arm_fault_during_recovery(svc);
+        }
+        SysOp::Advance { dt } => {
+            let now = r.tb.runtime.kernel().now();
+            r.tb.runtime.kernel_mut().advance_to(now + SimTime(dt));
+        }
+    }
+    Ok(())
 }
 
 /// The shared operation distribution of [`SystemWalk`] and
@@ -381,49 +375,6 @@ impl ElideDiffWalk {
             k.set_escalation(walk_escalation());
             k.enable_tracing(DEFAULT_TRACE_CAPACITY);
         }
-    }
-
-    /// Apply one operation to a single rig (the same op goes to both).
-    fn apply_one(r: &mut Rig, op: &SysOp) -> Result<(), String> {
-        match *op {
-            SysOp::Iteration { iface, seq } => {
-                let svc = r.component_of(SERVICES[iface]);
-                if r.tb.runtime.kernel().is_degraded(svc) {
-                    let app = r.tb.ids.app1;
-                    let t = r.thread;
-                    let compid = composite::Value::from(app.0);
-                    let err = composite::InterfaceCall::interface_call(
-                        &mut r.tb.runtime,
-                        app,
-                        t,
-                        svc,
-                        probe_fn(iface),
-                        &[compid],
-                    );
-                    if !matches!(err, Err(composite::CallError::Degraded { .. })) {
-                        return Err(format!(
-                            "{} degraded but call returned {err:?}",
-                            SERVICES[iface]
-                        ));
-                    }
-                } else {
-                    r.run_iteration(SERVICES[iface], seq);
-                }
-            }
-            SysOp::Fault { iface } => {
-                let svc = r.component_of(SERVICES[iface]);
-                r.tb.runtime.inject_fault(svc);
-            }
-            SysOp::ArmNestedFault { iface } => {
-                let svc = r.component_of(SERVICES[iface]);
-                r.tb.runtime.kernel_mut().arm_fault_during_recovery(svc);
-            }
-            SysOp::Advance { dt } => {
-                let now = r.tb.runtime.kernel().now();
-                r.tb.runtime.kernel_mut().advance_to(now + SimTime(dt));
-            }
-        }
-        Ok(())
     }
 
     /// The first observable difference between the two systems, if any.
@@ -530,7 +481,7 @@ impl Model for ElideDiffWalk {
 
     fn apply(&mut self, op: &SysOp) -> Result<(), Violation> {
         for (name, r) in [("tracked", &mut self.tracked), ("elided", &mut self.elided)] {
-            Self::apply_one(r, op).map_err(|detail| Violation {
+            apply_sysop(r, op).map_err(|detail| Violation {
                 invariant: "elide-equivalence",
                 detail: format!("{name} run: {detail}"),
             })?;

@@ -3,7 +3,8 @@
 //! `sgtrace` and `sgstat` read JSON-lines dumps that CI steps produce. A
 //! broken harness can leave a trace that holds shard headers but no
 //! events; a vacuous "all walks conform" or "conservation: OK" would
-//! hide it. So would a trace cut off mid-shard. A hostile or corrupt
+//! hide it. So would a trace cut off mid-shard, or one whose events hold
+//! no recovery walk for `sgtrace verify` to check. A hostile or corrupt
 //! line of deeply nested brackets must be a parse error, not a stack
 //! overflow. Either way the analyzers exit 1
 //! with a message on stderr.
@@ -58,6 +59,26 @@ fn sgtrace_verify_rejects_a_trace_without_events() {
     let empty = input("sgtrace_empty.jsonl", "");
     let out = run(env!("CARGO_BIN_EXE_sgtrace"), "verify", &empty);
     assert_fails_with(&out, "no trace events");
+}
+
+/// A fault-free run: one call into lock, no recovery episode, so no
+/// replay sequence for `sgtrace verify` to check.
+const FAULT_FREE: &str = "\
+{\"v\":1,\"shard\":\"fault-free\",\"names\":[\"booter\",\"app1\",\"lock\"],\"events\":2,\
+\"dropped\":0,\"dropped_recovery\":0,\"span_count\":2}
+{\"span\":0,\"parent\":null,\"ts\":800,\"dur\":0,\"tid\":1,\"comp\":2,\"name\":\"lock\",\
+\"epoch\":0,\"kind\":\"invoke_enter\",\"function\":\"lock_alloc\",\"client\":1}
+{\"span\":1,\"parent\":0,\"ts\":800,\"dur\":0,\"tid\":1,\"comp\":2,\"name\":\"lock\",\
+\"epoch\":0,\"kind\":\"invoke_exit\",\"outcome\":\"ok\"}
+";
+
+/// A trace with events but no recovery walk gives `verify` nothing to
+/// check; "all observed recovery walks conform" would be a vacuous pass.
+#[test]
+fn sgtrace_verify_rejects_a_trace_without_replay_sequences() {
+    let fault_free = input("sgtrace_fault_free.jsonl", FAULT_FREE);
+    let out = run(env!("CARGO_BIN_EXE_sgtrace"), "verify", &fault_free);
+    assert_fails_with(&out, "no per-descriptor replay sequence to check");
 }
 
 #[test]

@@ -9,8 +9,7 @@
 //! predictable recovery mechanisms of C³").
 
 use composite::{
-    CallError, ComponentId, EdgeMap, EscalationPolicy, InterfaceCall, Kernel, KernelAccess,
-    ThreadId, Value,
+    CallError, ComponentId, EdgeMap, InterfaceCall, Kernel, KernelAccess, ThreadId, Value,
 };
 
 use crate::env::{RecoveryStats, StubEnv};
@@ -38,9 +37,6 @@ pub struct RuntimeConfig {
     pub storage: Option<ComponentId>,
     /// Fault-handling retry budget per call.
     pub max_retries: u32,
-    /// Reboot-storm escalation policy, installed into the kernel at
-    /// construction. Disabled by default (classic C³ behaviour).
-    pub escalation: EscalationPolicy,
 }
 
 impl Default for RuntimeConfig {
@@ -49,7 +45,6 @@ impl Default for RuntimeConfig {
             policy: RecoveryPolicy::OnDemand,
             storage: None,
             max_retries: 3,
-            escalation: EscalationPolicy::disabled(),
         }
     }
 }
@@ -70,10 +65,10 @@ pub struct FtRuntime {
 }
 
 impl FtRuntime {
-    /// Wrap a kernel with an empty edge map.
+    /// Wrap a kernel with an empty edge map. The kernel keeps every
+    /// policy already set on it (reboot-storm escalation included).
     #[must_use]
-    pub fn new(mut kernel: Kernel, config: RuntimeConfig) -> Self {
-        kernel.set_escalation(config.escalation);
+    pub fn new(kernel: Kernel, config: RuntimeConfig) -> Self {
         Self {
             kernel,
             stubs: EdgeMap::new(),
@@ -398,6 +393,17 @@ mod tests {
         let mut rt = FtRuntime::new(k, RuntimeConfig::default());
         rt.install_stub(app, svc, Box::new(NullStub::default()));
         (rt, app, svc, t)
+    }
+
+    #[test]
+    fn wrapping_keeps_the_kernels_escalation_policy() {
+        let mut k = Kernel::with_costs(CostModel::free());
+        k.set_escalation(composite::EscalationPolicy::storm_defaults());
+        let rt = FtRuntime::new(k, RuntimeConfig::default());
+        assert_eq!(
+            *rt.kernel().escalation(),
+            composite::EscalationPolicy::storm_defaults()
+        );
     }
 
     #[test]

@@ -269,7 +269,6 @@ pub fn build_pipeline(variant: PipelineVariant, cfg: &PipelineConfig) -> Pipelin
         policy: RecoveryPolicy::OnDemand,
         storage: Some(storage),
         max_retries: 3,
-        ..RuntimeConfig::default()
     };
     let mut runtime = FtRuntime::new(k, config);
 
@@ -407,14 +406,11 @@ pub fn run_pipeline_rep(
 
     let metrics = MetricsSnapshot::from_kernel(runtime.kernel());
     let telemetry = SeriesSnapshot::from_kernel(runtime.kernel());
-    let trace = if runtime.kernel().tracing_enabled() {
-        let mut shard = TraceShard::labeled(&format!("pipeline/{variant}/rep{rep}"));
-        let label = shard.label.clone();
-        shard.absorb(runtime.kernel_mut().take_trace(&label));
-        Some(shard)
-    } else {
-        None
-    };
+    let trace = runtime.kernel().tracing_enabled().then(|| {
+        runtime
+            .kernel_mut()
+            .take_trace(&format!("pipeline/{variant}/rep{rep}"))
+    });
     let wall = runtime.kernel().now();
     drop(ex);
     let output = Rc::try_unwrap(output)

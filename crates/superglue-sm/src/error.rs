@@ -2,8 +2,8 @@ use std::fmt;
 
 use crate::machine::{FnId, State};
 
-/// Errors produced while building or exercising descriptor state machines
-/// and trackers.
+/// Errors produced while building or exercising descriptor state
+/// machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
@@ -12,8 +12,6 @@ pub enum Error {
     /// The state machine has no creation function, so no descriptor can
     /// ever enter the machine.
     NoCreationFunction,
-    /// A transition was declared twice with conflicting targets.
-    DuplicateTransition { from: State, via: FnId },
     /// The requested state is unreachable from the initial state, so no
     /// recovery walk exists.
     Unreachable(State),
@@ -22,14 +20,8 @@ pub enum Error {
     /// detection (§III-B: "formalizing valid transitions enables fault
     /// detection if invalid branches are attempted").
     InvalidTransition { state: State, via: FnId },
-    /// The descriptor id is not present in the tracker.
-    UnknownDescriptor(u64),
-    /// A descriptor id was created twice without an intervening terminate.
-    DuplicateDescriptor(u64),
     /// The descriptor-resource model is internally inconsistent.
     InconsistentModel(String),
-    /// A parent descriptor was required (P_dr != Solo) but missing.
-    MissingParent(u64),
 }
 
 impl fmt::Display for Error {
@@ -39,20 +31,12 @@ impl fmt::Display for Error {
             Error::NoCreationFunction => {
                 write!(f, "state machine has no creation function")
             }
-            Error::DuplicateTransition { from, via } => {
-                write!(f, "conflicting transition from {from:?} via {via:?}")
-            }
             Error::Unreachable(s) => write!(f, "state {s:?} unreachable from the initial state"),
             Error::InvalidTransition { state, via } => {
                 write!(f, "invalid transition from {state:?} via {via:?}")
             }
-            Error::UnknownDescriptor(id) => write!(f, "unknown descriptor {id}"),
-            Error::DuplicateDescriptor(id) => write!(f, "descriptor {id} already tracked"),
             Error::InconsistentModel(why) => {
                 write!(f, "inconsistent descriptor-resource model: {why}")
-            }
-            Error::MissingParent(id) => {
-                write!(f, "descriptor {id} requires a parent but none was given")
             }
         }
     }
@@ -70,10 +54,7 @@ mod tests {
             Error::UnknownFunction(FnId(3)),
             Error::NoCreationFunction,
             Error::Unreachable(State::Init),
-            Error::UnknownDescriptor(7),
-            Error::DuplicateDescriptor(7),
             Error::InconsistentModel("x".into()),
-            Error::MissingParent(1),
         ];
         for e in errs {
             let s = e.to_string();

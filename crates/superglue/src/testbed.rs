@@ -7,7 +7,7 @@
 //! | [`Variant::C3`] | hand-written ([`sg_c3::stubs`]) | COMPOSITE + C³ |
 //! | [`Variant::SuperGlue`] | compiler-generated ([`crate::CompiledStub`]) | COMPOSITE + SuperGlue |
 
-use composite::{ComponentId, CostModel, Kernel, Priority, ThreadId};
+use composite::{ComponentId, CostModel, Kernel, KernelAccess as _, Priority, ThreadId};
 use sg_c3::stubs::{C3EvtStub, C3FsStub, C3LockStub, C3MmStub, C3SchedStub, C3TmrStub};
 use sg_c3::{FtRuntime, RecoveryPolicy, RuntimeConfig};
 use sg_services::cbuf::CbufService;
@@ -189,7 +189,6 @@ impl Testbed {
             policy,
             storage: Some(storage),
             max_retries: 3,
-            ..RuntimeConfig::default()
         };
         let mut runtime = FtRuntime::new(k, config);
 
@@ -198,7 +197,7 @@ impl Testbed {
             Variant::Bare => {
                 for app in [app1, app2] {
                     for svc in services {
-                        runtime.kernel_mut_pub().grant(app, svc);
+                        runtime.kernel_mut().grant(app, svc);
                     }
                 }
             }
@@ -250,7 +249,7 @@ impl Testbed {
 
     /// Spawn a runnable thread homed in `home`.
     pub fn spawn_thread(&mut self, home: ComponentId, priority: Priority) -> ThreadId {
-        self.runtime.kernel_mut_pub().create_thread(home, priority)
+        self.runtime.kernel_mut().create_thread(home, priority)
     }
 
     /// Sum of descriptors tracked across every installed stub.
@@ -268,23 +267,10 @@ impl Testbed {
     }
 }
 
-/// Extension trait making `kernel_mut` usable from the testbed without
-/// importing `KernelAccess` at every call site.
-trait KernelMutExt {
-    fn kernel_mut_pub(&mut self) -> &mut Kernel;
-}
-
-impl KernelMutExt for FtRuntime {
-    fn kernel_mut_pub(&mut self) -> &mut Kernel {
-        use composite::KernelAccess as _;
-        self.kernel_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use composite::{Executor, InterfaceCall as _, KernelAccess as _, RunExit, Value};
+    use composite::{Executor, InterfaceCall as _, RunExit, Value};
     use sg_services::api::ClientEnd;
     use sg_services::workloads::{
         shared_desc, EventTrigger, EventWaiter, FsOpenWriteRead, LockContender, LockOwner,

@@ -1,7 +1,7 @@
 //! Edge cases of the generic compiled stub that the happy-path testbed
 //! tests do not reach: unknown functions, invalid transitions counted as
-//! detections, storage-less configurations, retry exhaustion, and stub
-//! introspection.
+//! detections, storage-less configurations, retry exhaustion, stub
+//! introspection, and tracking that stays bounded over a long history.
 
 use std::sync::Arc;
 
@@ -171,6 +171,36 @@ fn stub_introspection_reports_interface_and_counts() {
     assert_eq!(stub.tracked_count(), 4);
     // The three pre-fault descriptors are marked faulty until touched.
     assert_eq!(stub.faulty_count(), 3);
+}
+
+/// §II-C: the stub's tracking is bounded by live descriptors, not by
+/// call history, and recovery replays the shortest walk, not the
+/// history. (The `ablations` harness prints the same figures at
+/// 100 000 calls.)
+#[test]
+fn tracking_and_replay_do_not_grow_with_call_history() {
+    let (mut tb, t) = superglue_testbed();
+    let (app, lock) = (tb.ids.app1, tb.ids.lock);
+    let id = tb
+        .runtime
+        .interface_call(app, t, lock, "lock_alloc", &[Value::Int(1)])
+        .unwrap()
+        .int()
+        .unwrap();
+    let args = [Value::Int(1), Value::Int(id)];
+    for i in 0..1_000 {
+        let f = ["lock_take", "lock_release"][i % 2];
+        tb.runtime.interface_call(app, t, lock, f, &args).unwrap();
+    }
+    assert_eq!(tb.runtime.stub(app, lock).unwrap().tracked_count(), 1);
+    let before = tb.runtime.stats().walk_steps_replayed;
+    tb.runtime.inject_fault(lock);
+    tb.runtime
+        .interface_call(app, t, lock, "lock_take", &args)
+        .unwrap();
+    // After lock_release, `sm_recover_via(lock_release, lock_alloc)`
+    // makes the walk a single lock_alloc.
+    assert_eq!(tb.runtime.stats().walk_steps_replayed - before, 1);
 }
 
 #[test]

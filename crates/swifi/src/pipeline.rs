@@ -363,13 +363,10 @@ fn run_showstopper_unit(cfg: &PipelineCampaignConfig, rep: u64) -> UnitResult {
 }
 
 fn take_unit_trace(runtime: &mut sg_c3::FtRuntime, label: &str) -> Option<TraceShard> {
-    if runtime.kernel().tracing_enabled() {
-        let mut shard = TraceShard::labeled(label);
-        shard.absorb(runtime.kernel_mut().take_trace(label));
-        Some(shard)
-    } else {
-        None
-    }
+    runtime
+        .kernel()
+        .tracing_enabled()
+        .then(|| runtime.kernel_mut().take_trace(label))
 }
 
 /// Run the full pipeline campaign, sharded across up to `jobs` worker

@@ -253,10 +253,7 @@ fn take_run_trace(kernel: &mut Kernel, variant: WebVariant, rep: u64) -> Option<
     if !kernel.tracing_enabled() {
         return None;
     }
-    let mut shard = TraceShard::labeled(&format!("fig7/{variant}/rep{rep}"));
-    let label = shard.label.clone();
-    shard.absorb(kernel.take_trace(&label));
-    Some(shard)
+    Some(kernel.take_trace(&format!("fig7/{variant}/rep{rep}")))
 }
 
 /// Pre-create the site resources through the (possibly stubbed) runtime
